@@ -7,19 +7,13 @@
 //!   workspace-wide generalization of the two hand-written lock lint
 //!   rules. Deliberate nesting is excluded with the shared annotation
 //!   grammar: `// lint: allow(lock-order) — reason`.
-//! * **`proto-drift`** — every `Request`/`Reply` variant in `bionav-proto`
-//!   must be matched in `serve.rs::apply`, reachable from the REPL (via
-//!   [`VERB_WIRING`]), and named by at least one test in `crates/proto`
-//!   or `crates/cli` — adding a verb without wiring every layer is a CI
-//!   failure, not a latent bug.
-//! * **`coverage`** — the assurance matrix: `FailSite` variants vs chaos
-//!   tests arming them, `Stage` variants vs the `ALL` array / `name()`
-//!   arms the exporters consume, `EngineError` variants vs construction
-//!   sites and tests, `Request` variants vs the request-context plane
-//!   (mapped in `serve.rs::verb_of`, flight-recorder scope minted outside
-//!   the wire path), `SloVerb` variants vs the exporter feed and tests,
-//!   `ShedReason` variants vs the Prometheus exposition / flight-recorder
-//!   shed codes / tests. Emitted as machine-readable JSON (`--json`).
+//! * **`proto-drift`** and **`coverage`** — one evaluator over the
+//!   [`FAMILIES`] table. Each entry is an enum whose every variant must
+//!   hold every leg: a reference filtered by test/non-test code, path and
+//!   position, or a call to the verb's [`VERB_WIRING`] method.
+//!   `proto-drift` entries keep each wire verb wired through serve, the
+//!   REPL and tests; `coverage` entries form the assurance matrix, emitted
+//!   as machine-readable JSON (`--json`).
 //!
 //! Every pass takes `(path, source)` pairs, so the meta-tests feed seeded
 //! violations through the same code path CI runs. Path *hints* (e.g.
@@ -50,22 +44,20 @@ pub const ANALYSES: &[Analysis] = &[
     },
     Analysis {
         id: "proto-drift",
-        summary: "every Request/Reply variant is matched in serve.rs::apply, reachable from the \
-                  REPL, and named by a proto/cli test",
+        summary: "every variant of each proto-drift family in analyze::FAMILIES holds every leg \
+                  (served, reachable from the REPL, named by a test)",
     },
     Analysis {
         id: "coverage",
-        summary: "assurance matrix: FailSite vs chaos tests, Stage vs ALL/name()/exporters, \
-                  EngineError vs construction sites and tests, Request vs the request-context \
-                  plane (verb_of + flight-recorder scope), SloVerb vs exporter feed and tests, \
-                  ShedReason vs exposition/flight-recorder/tests",
+        summary: "assurance matrix: every variant of each coverage family in analyze::FAMILIES \
+                  holds every leg (column)",
     },
 ];
 
-/// REPL reachability table for the protocol-drift pass: which engine call
-/// proves a `Request` variant is reachable from the interactive surface.
-/// A variant with no entry here is itself a finding — adding a verb means
-/// teaching the analyzer where the REPL exercises it.
+/// REPL reachability table for the `Wired` legs of [`FAMILIES`]: which
+/// engine call proves a `Request` variant is reachable from the
+/// interactive surface. A variant with no entry here is itself a finding —
+/// adding a verb means teaching the analyzer where the REPL exercises it.
 pub const VERB_WIRING: &[(&str, &str)] = &[
     ("Open", "open_session"),
     ("Expand", "expand"),
@@ -93,10 +85,10 @@ pub struct Matrix {
 
 /// One enum family's coverage block.
 pub struct Family {
-    /// The enum's name (`FailSite`, `Stage`, `EngineError`).
+    /// The enum's name, as in its [`FAMILIES`] entry.
     pub name: &'static str,
     /// Column labels, in cell order.
-    pub columns: &'static [&'static str],
+    pub columns: Vec<&'static str>,
     /// `(variant, cells)` rows in declaration order.
     pub rows: Vec<(String, Vec<bool>)>,
 }
@@ -151,9 +143,8 @@ pub fn analyze_files(files: &[(String, String)]) -> Report {
     let model = Model::build(files);
     let mut findings = Vec::new();
     findings.extend(lock_order(&model));
-    findings.extend(protocol_drift(&model));
-    let (coverage_findings, matrix) = coverage(&model);
-    findings.extend(coverage_findings);
+    let (family_findings, matrix) = families(&model);
+    findings.extend(family_findings);
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Report { findings, matrix }
 }
@@ -406,483 +397,436 @@ fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
     None
 }
 
-// -- pass 2: protocol drift --------------------------------------------------
+// -- passes 2 and 3: the enum-family table ----------------------------------
 
-/// Checks that every `Request`/`Reply` variant is wired through all layers:
-/// matched in `serve.rs::apply`, reachable from the REPL, and named by a
-/// proto/cli test.
-pub fn protocol_drift(model: &Model) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let Some(request) = model.enum_def("Request", "proto") else {
-        return findings; // no proto crate in this file set: nothing to check
-    };
-    let reply = model.enum_def("Reply", "proto");
-    let proto_path = model.files[request.file].path.clone();
-
-    // serve.rs::apply body range, for "matched in apply" checks.
-    let apply_body = model
-        .fns
-        .iter()
-        .find(|f| {
-            f.name == "apply" && !f.in_test && model.files[f.file].path.contains("cli/src/serve.rs")
-        })
-        .and_then(|f| f.body.map(|b| (f.file, b)));
-
-    let tested = |qual: &str, name: &str| {
-        model.refs(qual, name, "").any(|r| {
-            r.in_test
-                && (model.files[r.file].path.contains("crates/proto")
-                    || model.files[r.file].path.contains("crates/cli"))
-        })
-    };
-
-    for (variant, line) in &request.variants {
-        // (1) matched in serve.rs::apply
-        let in_apply = apply_body.is_some_and(|(file, (b, e))| {
-            model
-                .refs("Request", variant, "cli/src/serve.rs")
-                .any(|r| r.file == file && b < r.tok && r.tok < e && !r.in_test)
-        });
-        if !in_apply {
-            findings.push(Finding {
-                path: proto_path.clone(),
-                line: *line,
-                rule: "proto-drift",
-                message: format!(
-                    "Request::{variant} is not matched in crates/cli/src/serve.rs::apply — the \
-                     serve loop silently drops this verb"
-                ),
-            });
-        }
-        // (2) reachable from the REPL
-        match VERB_WIRING.iter().find(|(v, _)| v == variant) {
-            None => findings.push(Finding {
-                path: proto_path.clone(),
-                line: *line,
-                rule: "proto-drift",
-                message: format!(
-                    "Request::{variant} has no REPL-wiring entry — add (\"{variant}\", \
-                     \"<engine call>\") to VERB_WIRING in crates/xtask/src/analyze.rs and wire \
-                     the verb into the REPL"
-                ),
-            }),
-            Some((_, needle)) => {
-                let in_repl = model.calls.iter().any(|c| {
-                    c.callee == *needle && model.files[c.file].path.contains("cli/src/repl.rs")
-                });
-                if !in_repl {
-                    findings.push(Finding {
-                        path: proto_path.clone(),
-                        line: *line,
-                        rule: "proto-drift",
-                        message: format!(
-                            "Request::{variant} is not reachable from the REPL: no {needle}() \
-                             call in crates/cli/src/repl.rs"
-                        ),
-                    });
-                }
-            }
-        }
-        // (3) named by a test
-        if !tested("Request", variant) {
-            findings.push(Finding {
-                path: proto_path.clone(),
-                line: *line,
-                rule: "proto-drift",
-                message: format!(
-                    "Request::{variant} is not named by any test in crates/proto or crates/cli"
-                ),
-            });
-        }
-    }
-
-    if let Some(reply) = reply {
-        for (variant, line) in &reply.variants {
-            let in_serve = model
-                .refs("Reply", variant, "cli/src/serve.rs")
-                .any(|r| !r.in_test);
-            if !in_serve {
-                findings.push(Finding {
-                    path: proto_path.clone(),
-                    line: *line,
-                    rule: "proto-drift",
-                    message: format!(
-                        "Reply::{variant} is never constructed in crates/cli/src/serve.rs — \
-                         the serve loop cannot produce this reply"
-                    ),
-                });
-            }
-            if !tested("Reply", variant) {
-                findings.push(Finding {
-                    path: proto_path.clone(),
-                    line: *line,
-                    rule: "proto-drift",
-                    message: format!(
-                        "Reply::{variant} is not named by any test in crates/proto or crates/cli"
-                    ),
-                });
-            }
-        }
-    }
-    findings
+/// Where in its file a reference must sit to count as evidence.
+#[derive(Clone, Copy)]
+enum At {
+    /// Anywhere.
+    Anywhere,
+    /// Inside the body of a non-test fn with this name.
+    InFn(&'static str),
+    /// Outside every fn body: a `const`/`static` initializer such as
+    /// `Stage::ALL`.
+    OutsideFns,
+    /// Outside trait impls for the family's enum: an arm of
+    /// `impl Display for EngineError` formats a variant, it does not
+    /// construct one.
+    OutsideTraitImpls,
 }
 
-// -- pass 3: assurance-coverage matrix ---------------------------------------
+/// A filter over `Qual::Name` references.
+#[derive(Clone, Copy)]
+struct Refs {
+    /// Qualifier when it is not the family's enum (`Verb` for `Request`).
+    qual: Option<&'static str>,
+    /// `Some(true)`: test code only; `Some(false)`: non-test code only.
+    test: Option<bool>,
+    /// File-path hints, one of which must match (empty: every file).
+    paths: &'static [&'static str],
+    /// File-path hints none of which may match.
+    not_paths: &'static [&'static str],
+    /// Position within the file.
+    at: At,
+}
 
-/// Builds the assurance matrix and a finding per gap.
-pub fn coverage(model: &Model) -> (Vec<Finding>, Matrix) {
+/// Every reference, test or not, anywhere.
+const ANY: Refs = Refs {
+    qual: None,
+    test: None,
+    paths: &[],
+    not_paths: &[],
+    at: At::Anywhere,
+};
+/// References in test code.
+const TEST: Refs = Refs {
+    test: Some(true),
+    ..ANY
+};
+/// References in non-test code.
+const CODE: Refs = Refs {
+    test: Some(false),
+    ..ANY
+};
+
+/// What proves one leg for one variant.
+#[derive(Clone, Copy)]
+enum Evidence {
+    /// Some reference `Qual::Variant` passes the filter.
+    Ref(Refs),
+    /// The variant's [`VERB_WIRING`] method is called in a file matching
+    /// this path hint. A variant with no table entry fails the leg with a
+    /// message of its own.
+    Wired(&'static str),
+}
+
+/// One leg of a family: a column of the matrix.
+struct Leg {
+    /// Column label in the `--json` matrix.
+    column: &'static str,
+    /// What proves the leg.
+    evidence: Evidence,
+    /// Finding text after `Enum::Variant `; `{v}` stands for the variant
+    /// and `{call}` for its wired method.
+    gap: &'static str,
+}
+
+/// One enum family: every variant must hold every leg.
+pub struct FamilySpec {
+    /// The enum's name.
+    pub name: &'static str,
+    /// Path hint of the file that defines it (first match).
+    def: &'static str,
+    /// Rule id of its findings; only `coverage` families enter the matrix.
+    pub rule: &'static str,
+    /// `(enum, path hint)` that must be defined for the family to apply.
+    gate: Option<(&'static str, &'static str)>,
+    /// Family-level leg `(member, evidence, message)`: `Enum::member` must
+    /// be referenced. Skipped when no file matches the evidence's paths.
+    whole: Option<(&'static str, Refs, &'static str)>,
+    /// Per-variant legs, in column order.
+    legs: &'static [Leg],
+}
+
+/// The `tested` leg of both wire-protocol families.
+const PROTO_CLI_TESTED: Leg = Leg {
+    column: "tested",
+    evidence: Evidence::Ref(Refs {
+        paths: &["crates/proto", "crates/cli"],
+        ..TEST
+    }),
+    gap: "is not named by any test in crates/proto or crates/cli",
+};
+
+/// The `proto-drift` and `coverage` families, in evaluation order. A new
+/// family is one entry here.
+pub const FAMILIES: &[FamilySpec] = &[
+    FamilySpec {
+        name: "Request",
+        def: "proto",
+        rule: "proto-drift",
+        gate: None,
+        whole: None,
+        legs: &[
+            Leg {
+                column: "served",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["cli/src/serve.rs"],
+                    at: At::InFn("apply"),
+                    ..CODE
+                }),
+                gap: "is not matched in crates/cli/src/serve.rs::apply — the serve loop \
+                      silently drops this verb",
+            },
+            Leg {
+                column: "repl",
+                evidence: Evidence::Wired("cli/src/repl.rs"),
+                gap: "is not reachable from the REPL: no {call}() call in crates/cli/src/repl.rs",
+            },
+            PROTO_CLI_TESTED,
+        ],
+    },
+    FamilySpec {
+        name: "Reply",
+        def: "proto",
+        rule: "proto-drift",
+        gate: Some(("Request", "proto")),
+        whole: None,
+        legs: &[
+            Leg {
+                column: "constructed",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["cli/src/serve.rs"],
+                    ..CODE
+                }),
+                gap: "is never constructed in crates/cli/src/serve.rs — the serve loop cannot \
+                      produce this reply",
+            },
+            PROTO_CLI_TESTED,
+        ],
+    },
+    FamilySpec {
+        name: "FailSite",
+        def: "core/src/fault.rs",
+        rule: "coverage",
+        gate: None,
+        whole: None,
+        legs: &[
+            Leg {
+                column: "armed_in_core",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["core/src"],
+                    not_paths: &["fault.rs"],
+                    ..CODE
+                }),
+                gap: "is not armed anywhere in crates/core outside fault.rs — dead failpoint",
+            },
+            Leg {
+                column: "chaos_test",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["tests/chaos"],
+                    ..ANY
+                }),
+                gap: "is not exercised by any chaos test (crates/core/tests/chaos.rs)",
+            },
+        ],
+    },
+    // Prometheus iterates `ALL` and the Chrome trace renders `name()`.
+    FamilySpec {
+        name: "Stage",
+        def: "trace/mod.rs",
+        rule: "coverage",
+        gate: None,
+        whole: Some((
+            "ALL",
+            Refs {
+                paths: &["trace/export.rs"],
+                ..CODE
+            },
+            "the exporter (crates/core/src/trace/export.rs) no longer iterates Stage::ALL — \
+             per-stage series would silently vanish",
+        )),
+        legs: &[
+            Leg {
+                column: "instrumented",
+                evidence: Evidence::Ref(Refs {
+                    not_paths: &["/trace/"],
+                    ..CODE
+                }),
+                gap: "is never instrumented outside the trace module — dead stage",
+            },
+            Leg {
+                column: "in_all",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["trace/mod.rs"],
+                    at: At::OutsideFns,
+                    ..CODE
+                }),
+                gap: "is missing from Stage::ALL — the Prometheus exporter iterates ALL, so \
+                      this stage would never be exported",
+            },
+            Leg {
+                column: "name_arm",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["trace/mod.rs"],
+                    at: At::InFn("name"),
+                    ..ANY
+                }),
+                gap: "has no Stage::name() arm — both exporters render stages by name",
+            },
+        ],
+    },
+    FamilySpec {
+        name: "EngineError",
+        def: "core/src",
+        rule: "coverage",
+        gate: None,
+        whole: None,
+        legs: &[
+            Leg {
+                column: "constructed",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["core/src"],
+                    at: At::OutsideTraitImpls,
+                    ..CODE
+                }),
+                gap: "is never constructed in crates/core — dead error variant",
+            },
+            Leg {
+                column: "tested",
+                evidence: Evidence::Ref(TEST),
+                gap: "is not named by any test — its refusal path is unverified",
+            },
+        ],
+    },
+    // The request-context plane, gated on the flight recorder's `Verb` so
+    // proto-only fixtures skip it: the wire front-end attributes each verb
+    // (`verb_of`), and the engine (`flight_scope`) or the REPL
+    // (`ensure_scope`) mints its recorder scope outside the wire path.
+    FamilySpec {
+        name: "Request",
+        def: "proto",
+        rule: "coverage",
+        gate: Some(("Verb", "trace")),
+        whole: None,
+        legs: &[
+            Leg {
+                column: "ctx_propagated",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["cli/src/serve.rs"],
+                    at: At::InFn("verb_of"),
+                    ..CODE
+                }),
+                gap: "is not mapped in crates/cli/src/serve.rs::verb_of — the wire front-end \
+                      cannot attribute this verb's work to a request context",
+            },
+            Leg {
+                column: "flight_recorded",
+                evidence: Evidence::Ref(Refs {
+                    qual: Some("Verb"),
+                    paths: &["core/src", "cli/src/repl.rs"],
+                    not_paths: &["/trace/"],
+                    ..CODE
+                }),
+                gap: "has no flight-recorder scope outside the wire front-end — mint Verb::{v} \
+                      (engine flight_scope or REPL ensure_scope) so interactive traffic is \
+                      recorded too",
+            },
+        ],
+    },
+    // The engine records every op against its objective outside slo.rs,
+    // which is what the exposition renders.
+    FamilySpec {
+        name: "SloVerb",
+        def: "core/src/slo.rs",
+        rule: "coverage",
+        gate: None,
+        whole: None,
+        legs: &[
+            Leg {
+                column: "exported",
+                evidence: Evidence::Ref(Refs {
+                    not_paths: &["slo.rs"],
+                    ..CODE
+                }),
+                gap: "is never fed to the SLO monitor outside slo.rs — its burn rate would never \
+                      be exported",
+            },
+            Leg {
+                column: "tested",
+                evidence: Evidence::Ref(TEST),
+                gap: "is not named by any test — its objective is unverified",
+            },
+        ],
+    },
+    FamilySpec {
+        name: "ShedReason",
+        def: "core/src/admission.rs",
+        rule: "coverage",
+        gate: None,
+        whole: None,
+        legs: &[
+            Leg {
+                column: "exported",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["trace/export.rs"],
+                    ..CODE
+                }),
+                gap: "has no series in the bionav_shed_total exposition (trace/export.rs) — this \
+                      shed path is invisible to Prometheus",
+            },
+            Leg {
+                column: "flight_recorded",
+                evidence: Evidence::Ref(Refs {
+                    paths: &["trace/flightrec.rs"],
+                    ..CODE
+                }),
+                gap: "has no flight-recorder shed code (trace/flightrec.rs) — shed sessions of \
+                      this kind leave no per-request trace",
+            },
+            Leg {
+                column: "tested",
+                evidence: Evidence::Ref(TEST),
+                gap: "is not named by any test — its shed accounting is unverified",
+            },
+        ],
+    },
+];
+
+/// Whether `path` matches one of `hints` (an empty list matches all).
+fn hinted(hints: &[&str], path: &str) -> bool {
+    hints.is_empty() || hints.iter().any(|h| path.contains(h))
+}
+
+/// Whether some reference `Qual::name` passes `refs`.
+fn holds(model: &Model, spec: &FamilySpec, name: &str, refs: &Refs) -> bool {
+    model.refs(refs.qual.unwrap_or(spec.name), name).any(|r| {
+        let path = &model.files[r.file].path;
+        let enclosing = || model.fn_at(r.file, r.tok).map(|i| &model.fns[i]);
+        refs.test.is_none_or(|t| t == r.in_test)
+            && hinted(refs.paths, path)
+            && !refs.not_paths.iter().any(|h| path.contains(h))
+            && match refs.at {
+                At::Anywhere => true,
+                At::InFn(f) => enclosing().is_some_and(|e| e.name == f && !e.in_test),
+                At::OutsideFns => enclosing().is_none(),
+                At::OutsideTraitImpls => !model
+                    .impl_at(r.file, r.tok)
+                    .is_some_and(|i| i.trait_name.is_some() && i.type_name == spec.name),
+            }
+    })
+}
+
+/// Evaluates [`FAMILIES`]: a finding per failed leg, and a matrix block
+/// per `coverage` family.
+fn families(model: &Model) -> (Vec<Finding>, Matrix) {
     let mut findings = Vec::new();
     let mut matrix = Matrix::default();
-
-    // FailSite: armed in core (non-test ref outside fault.rs) + named by a
-    // chaos test.
-    if let Some(def) = model.enum_def("FailSite", "core/src/fault.rs") {
-        let def_path = model.files[def.file].path.clone();
-        let mut rows = Vec::new();
-        for (variant, line) in &def.variants {
-            let armed = model
-                .refs("FailSite", variant, "core/src")
-                .any(|r| !r.in_test && !model.files[r.file].path.ends_with("fault.rs"));
-            let chaos = model
-                .refs("FailSite", variant, "tests/chaos")
-                .next()
-                .is_some();
-            if !armed {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "FailSite::{variant} is not armed anywhere in crates/core outside \
-                         fault.rs — dead failpoint"
-                    ),
-                });
-            }
-            if !chaos {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "FailSite::{variant} is not exercised by any chaos test \
-                         (crates/core/tests/chaos.rs)"
-                    ),
-                });
-            }
-            rows.push((variant.clone(), vec![armed, chaos]));
-        }
-        matrix.families.push(Family {
-            name: "FailSite",
-            columns: &["armed_in_core", "chaos_test"],
-            rows,
-        });
-    }
-
-    // Stage: instrumented outside trace/, present in Stage::ALL, and given a
-    // name() arm — the two facts both exporters (Prometheus iterates ALL,
-    // Chrome trace renders name()) depend on.
-    if let Some(def) = model.enum_def("Stage", "trace") {
-        let def_path = model.files[def.file].path.clone();
-        let name_body = model
-            .fns
-            .iter()
-            .find(|f| f.name == "name" && f.file == def.file && !f.in_test)
-            .and_then(|f| f.body.map(|b| (f.file, b)));
-        let mut rows = Vec::new();
-        for (variant, line) in &def.variants {
-            let instrumented = model
-                .refs("Stage", variant, "")
-                .any(|r| !r.in_test && !model.files[r.file].path.contains("/trace/"));
-            let name_arm = name_body.is_some_and(|(file, (b, e))| {
-                model
-                    .refs("Stage", variant, "")
-                    .any(|r| r.file == file && b < r.tok && r.tok < e)
-            });
-            let in_all = model.refs("Stage", variant, "").any(|r| {
-                r.file == def.file
-                    && !(def.body.0 < r.tok && r.tok < def.body.1)
-                    && !name_body.is_some_and(|(_, (b, e))| b < r.tok && r.tok < e)
-            });
-            if !instrumented {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "Stage::{variant} is never instrumented outside the trace module — \
-                         dead stage"
-                    ),
-                });
-            }
-            if !name_arm {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "Stage::{variant} has no Stage::name() arm — both exporters render \
-                         stages by name"
-                    ),
-                });
-            }
-            if !in_all {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "Stage::{variant} is missing from Stage::ALL — the Prometheus exporter \
-                         iterates ALL, so this stage would never be exported"
-                    ),
-                });
-            }
-            rows.push((variant.clone(), vec![instrumented, in_all, name_arm]));
-        }
-        // Family-level: the Prometheus exporter must still iterate ALL.
-        let export_iterates = model
-            .refs("Stage", "ALL", "trace/export.rs")
-            .any(|r| !r.in_test);
-        if !export_iterates
-            && model
-                .files
-                .iter()
-                .any(|f| f.path.contains("trace/export.rs"))
+    for spec in FAMILIES {
+        let Some(def) = model.enum_def(spec.name, spec.def) else {
+            continue;
+        };
+        if spec
+            .gate
+            .is_some_and(|(name, hint)| model.enum_def(name, hint).is_none())
         {
+            continue;
+        }
+        let mut flag = |line: usize, message: String| {
             findings.push(Finding {
-                path: def_path.clone(),
-                line: def.line,
-                rule: "coverage",
-                message: "the exporter (crates/core/src/trace/export.rs) no longer iterates \
-                          Stage::ALL — per-stage series would silently vanish"
-                    .to_string(),
-            });
-        }
-        matrix.families.push(Family {
-            name: "Stage",
-            columns: &["instrumented", "in_all", "name_arm"],
-            rows,
-        });
-    }
-
-    // EngineError: constructed in core (non-test ref outside the enum body
-    // and outside trait impls like Display) + named by a test somewhere.
-    if let Some(def) = model.enum_def("EngineError", "core/src") {
-        let def_path = model.files[def.file].path.clone();
-        let mut rows = Vec::new();
-        for (variant, line) in &def.variants {
-            let constructed = model.refs("EngineError", variant, "core/src").any(|r| {
-                if r.in_test || (r.file == def.file && def.body.0 < r.tok && r.tok < def.body.1) {
-                    return false;
-                }
-                // A match arm in `impl Display for EngineError` is
-                // formatting, not construction.
-                !model
-                    .impl_at(r.file, r.tok)
-                    .is_some_and(|i| i.trait_name.is_some() && i.type_name == "EngineError")
-            });
-            let in_test = model.refs("EngineError", variant, "").any(|r| r.in_test);
-            if !constructed {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "EngineError::{variant} is never constructed in crates/core — dead \
-                         error variant"
-                    ),
-                });
-            }
-            if !in_test {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "EngineError::{variant} is not named by any test — its refusal path \
-                         is unverified"
-                    ),
-                });
-            }
-            rows.push((variant.clone(), vec![constructed, in_test]));
-        }
-        matrix.families.push(Family {
-            name: "EngineError",
-            columns: &["constructed", "tested"],
-            rows,
-        });
-    }
-
-    // Request × request-context plane, gated on the flight recorder's Verb
-    // enum being in the file set (so proto-only fixtures skip it): every
-    // wire verb must be mapped by `serve.rs::verb_of` (the front-end's
-    // RequestCtx attribution anchor) AND have a recorder scope minted
-    // outside the wire path — a `Verb::<variant>` reference in
-    // `crates/core` outside `trace/` (engine `flight_scope`) or in the
-    // REPL (`ensure_scope`) — so interactive traffic is flight-recorded
-    // too, not just TCP frames.
-    let verb_enum = model.enum_def("Verb", "trace");
-    if let (Some(request), Some(_)) = (model.enum_def("Request", "proto"), verb_enum) {
-        let def_path = model.files[request.file].path.clone();
-        let verb_of_body = model
-            .fns
-            .iter()
-            .find(|f| {
-                f.name == "verb_of"
-                    && !f.in_test
-                    && model.files[f.file].path.contains("cli/src/serve.rs")
+                path: model.files[def.file].path.clone(),
+                line,
+                rule: spec.rule,
+                message,
             })
-            .and_then(|f| f.body.map(|b| (f.file, b)));
-        let mut rows = Vec::new();
-        for (variant, line) in &request.variants {
-            let ctx_propagated = verb_of_body.is_some_and(|(file, (b, e))| {
-                model
-                    .refs("Request", variant, "cli/src/serve.rs")
-                    .any(|r| r.file == file && b < r.tok && r.tok < e && !r.in_test)
-            });
-            let flight_recorded = model.refs("Verb", variant, "").any(|r| {
-                let path = &model.files[r.file].path;
-                !r.in_test
-                    && ((path.contains("core/src") && !path.contains("/trace/"))
-                        || path.contains("cli/src/repl.rs"))
-            });
-            if !ctx_propagated {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "Request::{variant} is not mapped in crates/cli/src/serve.rs::verb_of — \
-                         the wire front-end cannot attribute this verb's work to a request \
-                         context"
-                    ),
-                });
-            }
-            if !flight_recorded {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "Request::{variant} has no flight-recorder scope outside the wire \
-                         front-end — mint Verb::{variant} (engine flight_scope or REPL \
-                         ensure_scope) so interactive traffic is recorded too"
-                    ),
-                });
-            }
-            rows.push((variant.clone(), vec![ctx_propagated, flight_recorded]));
-        }
-        matrix.families.push(Family {
-            name: "Request",
-            columns: &["ctx_propagated", "flight_recorded"],
-            rows,
-        });
-    }
-
-    // SloVerb: fed to the monitor outside slo.rs (the engine records every
-    // op against its objective, which is what the exporter renders) + named
-    // by a test.
-    if let Some(def) = model.enum_def("SloVerb", "core/src/slo.rs") {
-        let def_path = model.files[def.file].path.clone();
+        };
         let mut rows = Vec::new();
         for (variant, line) in &def.variants {
-            let exported = model
-                .refs("SloVerb", variant, "")
-                .any(|r| !r.in_test && !model.files[r.file].path.ends_with("slo.rs"));
-            let in_test = model.refs("SloVerb", variant, "").any(|r| r.in_test);
-            if !exported {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "SloVerb::{variant} is never fed to the SLO monitor outside slo.rs — \
-                         its burn rate would never be exported"
+            let mut cells = Vec::new();
+            for leg in spec.legs {
+                let (held, text) = match leg.evidence {
+                    Evidence::Ref(refs) => (
+                        holds(model, spec, variant, &refs),
+                        leg.gap.replace("{v}", variant),
                     ),
-                });
+                    Evidence::Wired(hint) => match VERB_WIRING.iter().find(|(v, _)| v == variant) {
+                        None => (
+                            false,
+                            format!(
+                                "has no REPL-wiring entry — add (\"{variant}\", \"<engine \
+                                 call>\") to VERB_WIRING in crates/xtask/src/analyze.rs and wire \
+                                 the verb into the REPL"
+                            ),
+                        ),
+                        Some((_, call)) => (
+                            model.calls.iter().any(|c| {
+                                c.callee == *call && model.files[c.file].path.contains(hint)
+                            }),
+                            leg.gap.replace("{call}", call),
+                        ),
+                    },
+                };
+                if !held {
+                    flag(*line, format!("{}::{variant} {text}", spec.name));
+                }
+                cells.push(held);
             }
-            if !in_test {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "SloVerb::{variant} is not named by any test — its objective is \
-                         unverified"
-                    ),
-                });
-            }
-            rows.push((variant.clone(), vec![exported, in_test]));
+            rows.push((variant.clone(), cells));
         }
-        // No family-level exporter check: the exposition renders the
-        // engine-fed `slo_burn` rows, so an unfed verb is exactly what the
-        // per-variant `exported` leg catches.
-        matrix.families.push(Family {
-            name: "SloVerb",
-            columns: &["exported", "tested"],
-            rows,
-        });
-    }
-
-    // ShedReason: every typed overload-shed reason must be rendered by the
-    // Prometheus exposition (the exhaustive `bionav_shed_total` series match
-    // in trace/export.rs), mapped by the flight recorder (the SHED_* code
-    // and name arm in trace/flightrec.rs), and named by a test — otherwise
-    // a shed path exists that operators cannot see.
-    if let Some(def) = model.enum_def("ShedReason", "core/src/admission.rs") {
-        let def_path = model.files[def.file].path.clone();
-        let mut rows = Vec::new();
-        for (variant, line) in &def.variants {
-            let exported = model
-                .refs("ShedReason", variant, "trace/export.rs")
-                .any(|r| !r.in_test);
-            let flight_recorded = model
-                .refs("ShedReason", variant, "trace/flightrec.rs")
-                .any(|r| !r.in_test);
-            let in_test = model.refs("ShedReason", variant, "").any(|r| r.in_test);
-            if !exported {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "ShedReason::{variant} has no series in the bionav_shed_total \
-                         exposition (trace/export.rs) — this shed path is invisible to \
-                         Prometheus"
-                    ),
-                });
+        if let Some((member, refs, message)) = spec.whole {
+            let present = model.files.iter().any(|f| hinted(refs.paths, &f.path));
+            if present && !holds(model, spec, member, &refs) {
+                flag(def.line, message.to_string());
             }
-            if !flight_recorded {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "ShedReason::{variant} has no flight-recorder shed code \
-                         (trace/flightrec.rs) — shed sessions of this kind leave no \
-                         per-request trace"
-                    ),
-                });
-            }
-            if !in_test {
-                findings.push(Finding {
-                    path: def_path.clone(),
-                    line: *line,
-                    rule: "coverage",
-                    message: format!(
-                        "ShedReason::{variant} is not named by any test — its shed \
-                         accounting is unverified"
-                    ),
-                });
-            }
-            rows.push((variant.clone(), vec![exported, flight_recorded, in_test]));
         }
-        matrix.families.push(Family {
-            name: "ShedReason",
-            columns: &["exported", "flight_recorded", "tested"],
-            rows,
-        });
+        if spec.rule == "coverage" {
+            matrix.families.push(Family {
+                name: spec.name,
+                columns: spec.legs.iter().map(|l| l.column).collect(),
+                rows,
+            });
+        }
     }
-
     (findings, matrix)
 }
 
@@ -996,7 +940,7 @@ mod tests {
         let m = Matrix {
             families: vec![Family {
                 name: "FailSite",
-                columns: &["armed_in_core", "chaos_test"],
+                columns: vec!["armed_in_core", "chaos_test"],
                 rows: vec![
                     ("A".to_string(), vec![true, true]),
                     ("B".to_string(), vec![true, false]),

@@ -4,8 +4,8 @@
 //!
 //! The model records exactly what the `analyze` passes consume:
 //!
-//! * **enums with variants** — coverage families (`FailSite`, `Stage`,
-//!   `EngineError`) and the protocol messages (`Request`, `Reply`);
+//! * **enums with variants** — the enum families of
+//!   [`crate::analyze::FAMILIES`];
 //! * **fn items** with their impl context and body token ranges — the
 //!   call-graph nodes;
 //! * **impl blocks** with trait names — so a `Display` match arm is not
@@ -222,29 +222,11 @@ impl Model {
             .find(|e| e.name == name && self.files[e.file].path.contains(path_hint))
     }
 
-    /// Every non-test function with this bare name.
-    pub fn fns_named<'a>(&'a self, name: &str) -> impl Iterator<Item = (usize, &'a FnDef)> + 'a {
-        let name = name.to_string();
-        self.fns
+    /// Every reference `Qual::Name`.
+    pub fn refs<'a>(&'a self, qual: &'a str, name: &'a str) -> impl Iterator<Item = &'a PathRef> {
+        self.path_refs
             .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.name == name && !f.in_test)
-    }
-
-    /// References `Qual::Name` matching the filters. `path_hint` filters
-    /// by file-path substring (empty = all files).
-    pub fn refs<'a>(
-        &'a self,
-        qual: &str,
-        name: &str,
-        path_hint: &str,
-    ) -> impl Iterator<Item = &'a PathRef> + 'a {
-        let qual = qual.to_string();
-        let name = name.to_string();
-        let hint = path_hint.to_string();
-        self.path_refs.iter().filter(move |r| {
-            r.qual == qual && r.name == name && self.files[r.file].path.contains(&hint)
-        })
+            .filter(move |r| r.qual == qual && r.name == name)
     }
 
     /// The impl block whose body contains token `tok` of file `file`.

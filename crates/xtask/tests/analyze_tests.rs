@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use xtask::analysis_files;
-use xtask::analyze::{analyze_files, Report};
+use xtask::analyze::{analyze_files, Report, FAMILIES};
 
 fn files(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
     pairs
@@ -277,6 +277,55 @@ fn dead_failpoint_fixture_is_flagged_and_the_matrix_records_it() {
     assert!(json.contains("\"gaps\":2"), "{json}");
 }
 
+#[test]
+fn stage_missing_from_all_is_flagged_even_when_a_test_names_it() {
+    // Solve has a name() arm, an instrumentation site and a test in its own
+    // file, but the exporter iterates ALL, which lacks it.
+    let trace = "pub enum Stage {\n    Solve,\n    Partition,\n}\n\
+                 impl Stage {\n    \
+                     pub const ALL: [Stage; 1] = [Stage::Partition];\n    \
+                     pub fn name(self) -> &'static str {\n        \
+                         match self {\n            \
+                             Stage::Solve => \"solve\",\n            \
+                             Stage::Partition => \"partition\",\n        \
+                         }\n    \
+                     }\n\
+                 }\n\
+                 #[cfg(test)]\n\
+                 mod tests {\n    \
+                     #[test]\n    \
+                     fn solve_is_named() {\n        \
+                         assert_eq!(Stage::Solve.name(), \"solve\");\n    \
+                     }\n\
+                 }\n";
+    let report = analyze_files(&files(&[
+        ("crates/core/src/trace/mod.rs", trace),
+        (
+            "crates/core/src/trace/export.rs",
+            "fn render() {\n    for stage in Stage::ALL {}\n}\n",
+        ),
+        (
+            "crates/core/src/engine.rs",
+            "fn run() {\n    let _ = (Stage::Solve, Stage::Partition);\n}\n",
+        ),
+    ]));
+    assert_eq!(rules_of(&report), vec!["coverage"], "{:?}", report.findings);
+    let msg = &report.findings[0].message;
+    assert!(
+        msg.contains("Stage::Solve") && msg.contains("missing from Stage::ALL"),
+        "{msg}"
+    );
+    let json = report.matrix.to_json();
+    assert!(
+        json.contains("\"variant\":\"Solve\",\"cells\":[true,false,true]"),
+        "{json}"
+    );
+    assert!(
+        json.contains("\"variant\":\"Partition\",\"cells\":[true,true,true]"),
+        "{json}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // coverage: the request-context plane (Request × {ctx_propagated,
 // flight_recorded}) and the SLO table (SloVerb × {exported, tested})
@@ -434,10 +483,14 @@ fn the_real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // Every family made it into the matrix, fully covered.
+    // Every coverage family of the table made it into the matrix, fully
+    // covered.
     let json = report.matrix.to_json();
-    for family in ["FailSite", "Stage", "EngineError", "Request", "SloVerb"] {
-        assert!(json.contains(&format!("\"family\":\"{family}\"")), "{json}");
+    for family in FAMILIES.iter().filter(|f| f.rule == "coverage") {
+        assert!(
+            json.contains(&format!("\"family\":\"{}\"", family.name)),
+            "{json}"
+        );
     }
     assert!(json.contains("\"gaps\":0"), "{json}");
 }

@@ -1287,7 +1287,7 @@ pub struct ShardedServeReport {
 /// (oracle navigations + browse-only sessions over the Table I queries)
 /// replayed through [`bionav_core::ShardedEngine`] tiers of 1, 2, 4, and
 /// 8 shards at a **fixed total worker count** and a **fixed per-shard
-/// cache budget** ([`SHARD_CACHE_CAPACITY`]). Each point warms the tier,
+/// cache budget** (`SHARD_CACHE_CAPACITY`). Each point warms the tier,
 /// resets telemetry, then measures one replay window; the merged
 /// sessions/sec per point lands in `BENCH_sharded.json`, where CI's
 /// `bench_guard --sharded` gates 4-shard ≥ 2× 1-shard. Correctness is

@@ -20,8 +20,8 @@
 //! ([`crate::scratch::NavScratch`]) supplies node-indexed epoch-stamped
 //! membership/partition maps, eliminating the per-call hash maps and
 //! `Vec::contains` scans of the original implementation. The historical
-//! two-pass pipeline survives only as the [`reference`] module, which the
-//! equivalence test-suite replays against this one.
+//! two-pass pipeline survives only as the [`reference`](mod@reference)
+//! module, which the equivalence test-suite replays against this one.
 
 use std::time::{Duration, Instant};
 

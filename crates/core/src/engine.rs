@@ -6,7 +6,7 @@
 //! single-session pipeline into a **multi-session serving engine**:
 //!
 //! * [`Engine`] holds navigation trees in a capacity-bounded LRU
-//!   [`TreeCache`] keyed by *normalized* query text
+//!   `TreeCache` keyed by *normalized* query text
 //!   ([`bionav_medline::normalize_phrase`]) — repeated queries share one
 //!   `Arc<NavigationTree>` instead of rebuilding it;
 //! * many concurrent [`Session`]s live in a lock-guarded session table,
@@ -284,8 +284,9 @@ pub struct ScriptOutcome {
 /// exact planner (DESIGN.md §5f).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradeReason {
-    /// The [`DegradePolicy::expand_deadline_ns`] budget was already spent
-    /// when the planning decision was made.
+    /// The request's context deadline ([`flightrec::RequestCtx`]) was
+    /// within [`DegradePolicy::deadline_exact_headroom_ns`] when the
+    /// planning decision was made.
     Deadline,
     /// The component exceeded [`DegradePolicy::exact_node_budget`] nodes.
     StepBudget,
@@ -480,11 +481,6 @@ impl From<EdgeCutError> for EngineError {
 /// serve path is unchanged (chaos-tested bit-identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradePolicy {
-    /// Wall-clock budget for one EXPAND, nanoseconds, measured from
-    /// admission (lock waits included). If it is already spent when the
-    /// planning decision is made, the ladder answers instead of the exact
-    /// solver. `0` disables the deadline.
-    pub expand_deadline_ns: u64,
     /// Largest component (node count) the exact planner is given; bigger
     /// components degrade. `0` disables the budget.
     pub exact_node_budget: usize,
@@ -522,7 +518,6 @@ pub struct DegradePolicy {
 impl Default for DegradePolicy {
     fn default() -> Self {
         DegradePolicy {
-            expand_deadline_ns: 0,
             exact_node_budget: 0,
             max_inflight_expands: 1024,
             adaptive_admission: false,
@@ -637,8 +632,10 @@ impl TreeCache {
     }
 }
 
-/// Lock-free shard-health signals (relaxed atomic reads, no locks) used by
-/// the [`crate::shard`] router to bias cold opens away from sick shards.
+/// Lock-free shard-health signals (relaxed atomic reads, no locks) that a
+/// sharded tier's [`Breaker`](crate::breaker::Breaker) judges: the shard is
+/// sick iff a session sits quarantined or a counter grew since the
+/// breaker's last trip.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthCounters {
     /// EXPANDs answered by any degradation-ladder rung since the last
@@ -652,9 +649,8 @@ pub struct HealthCounters {
     /// Poisoned sessions currently parked in the table (a live gauge, not
     /// window-reset).
     pub sessions_quarantined: usize,
-    /// Requests rejected expired-on-arrival since the last reset (the
-    /// fourth breaker baseline slot — a shard drowning in deadline misses
-    /// is sick even if it never degrades).
+    /// Requests rejected expired-on-arrival since the last reset (a shard
+    /// drowning in deadline misses is sick even if it never degrades).
     pub deadline_rejects: u64,
 }
 
@@ -922,16 +918,6 @@ where
     /// static cap (0 = ungated).
     pub fn admission_limit(&self) -> usize {
         self.admission.limit()
-    }
-
-    /// EXPAND SLO burn rate over the current stats window, ×100, from the
-    /// lock-free latency histogram alone — safe on the sharded tier's
-    /// routing/health path where [`Engine::stats`] (which takes the cache
-    /// lock) is off-limits.
-    pub fn expand_burn_x100(&self) -> u64 {
-        let snap = self.expand_hist.snapshot();
-        let target_ns = slo_for(SloVerb::Expand).target_p99_ns;
-        (crate::slo::burn_rate(snap.count_at_or_below(target_ns), snap.total()) * 100.0) as u64
     }
 
     /// The active degradation/admission policy.
@@ -1292,13 +1278,11 @@ where
     }
 
     /// Decide whether this EXPAND degrades, and why — evaluated with the
-    /// session lock held, before any planning work. `t0` is the admission
-    /// timestamp (so lock waits count against the deadline).
+    /// session lock held, before any planning work.
     fn choose_degrade(
         &self,
         session: &Session<SharedTree>,
         node: NavNodeId,
-        t0: u64,
     ) -> Option<DegradeReason> {
         // Failpoint: solver entry (DESIGN.md §5f).
         if let Some(f) = fault::hit(FailSite::SolverEntry) {
@@ -1311,16 +1295,11 @@ where
         if budget != 0 && session.component_size(node) > budget {
             return Some(DegradeReason::StepBudget);
         }
-        let deadline = self.policy.expand_deadline_ns;
-        if deadline != 0 && trace::now_ns().saturating_sub(t0) >= deadline {
-            return Some(DegradeReason::Deadline);
-        }
         // A request-scoped absolute deadline (wire [`flightrec::RequestCtx`])
-        // degrades the same way as the policy budget, with headroom: if the
-        // remaining budget is smaller than the exact solver's expected cost
-        // the ladder answers *before* the deadline blows, not after. 0 = no
-        // deadline in the context — the default, so reproduce passes stay
-        // bit-identical.
+        // degrades with headroom: if the remaining budget is smaller than
+        // the exact solver's expected cost the ladder answers *before* the
+        // deadline blows, not after. 0 = no deadline in the context — the
+        // default, so reproduce passes stay bit-identical.
         let ctx_deadline = flightrec::current_deadline_ns();
         if ctx_deadline != 0
             && trace::now_ns().saturating_add(self.policy.deadline_exact_headroom_ns)
@@ -1342,9 +1321,8 @@ where
         session: &mut Session<SharedTree>,
         cuts: &CutCache,
         node: NavNodeId,
-        t0: u64,
     ) -> Result<(Vec<NavNodeId>, Option<DegradeReason>), EdgeCutError> {
-        match self.choose_degrade(session, node, t0) {
+        match self.choose_degrade(session, node) {
             None => session.expand_cached(node, cuts).map(|r| (r, None)),
             Some(reason) => {
                 let _sp = trace::span(Stage::Degraded);
@@ -1415,7 +1393,7 @@ where
             };
             // lint: allow(lock-across-solve) — per-session lock: one
             // navigator per session by protocol; sessions never contend
-            Ok(self.ladder_expand(&mut session, cuts, node, t0))
+            Ok(self.ladder_expand(&mut session, cuts, node))
         });
         let ns = trace::now_ns().saturating_sub(t0);
         match isolated {
@@ -1828,11 +1806,12 @@ where
         )
     }
 
-    /// Lock-free health signals for routing decisions: relaxed atomic loads
-    /// only, **no** cache or session-table lock. The full [`Engine::stats`]
-    /// snapshot takes the cache lock for the cut-cache tallies, which a
-    /// router deciding where to place a cold open must never wait on — the
-    /// `no-cross-shard-lock` xtask rule polices exactly that path.
+    /// Lock-free health signals for the sharded tier's breaker verdict:
+    /// relaxed atomic loads only, **no** cache or session-table lock. The
+    /// full [`Engine::stats`] snapshot takes the cache lock for the
+    /// cut-cache tallies, which a router deciding where to place a cold
+    /// open must never wait on — the `no-cross-shard-lock` xtask rule
+    /// polices exactly that path.
     pub fn health(&self) -> HealthCounters {
         HealthCounters {
             // Relaxed: independent monotone tallies / gauges; a routing

@@ -342,16 +342,6 @@ pub fn hits_seen(site: FailSite) -> u64 {
     SITE_HITS[site as usize].load(Ordering::Relaxed)
 }
 
-/// SplitMix64 finalizer: the deterministic per-evaluation coin.
-// Compiled out with the armed fast path under `--cfg interleave`.
-#[cfg_attr(interleave, allow(dead_code))]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Evaluate the failpoint at `site`.
 ///
 /// Disarmed fast path: **one relaxed atomic load**, `None`. Armed, the
@@ -404,11 +394,13 @@ fn hit_armed(site: FailSite) -> Option<Fault> {
     if limit != 0 && SITE_FIRES[i].load(Ordering::Relaxed) >= limit {
         return None;
     }
-    let coin = mix(SEED
-        // Ordering: Relaxed — seed is advisory configuration (see `arm`).
-        .load(Ordering::Relaxed)
-        .wrapping_add((i as u64).wrapping_mul(0xa076_1d64_78bd_642f))
-        .wrapping_add(n.wrapping_mul(0xe703_7ed1_a0b4_28db)));
+    let coin = crate::mix(
+        SEED
+            // Ordering: Relaxed — seed is advisory configuration (see `arm`).
+            .load(Ordering::Relaxed)
+            .wrapping_add((i as u64).wrapping_mul(0xa076_1d64_78bd_642f))
+            .wrapping_add(n.wrapping_mul(0xe703_7ed1_a0b4_28db)),
+    );
     if !coin.is_multiple_of(period) {
         return None;
     }

@@ -69,7 +69,19 @@ pub use engine::{
 pub use fault::{FailSite, Fault, FaultPlan};
 pub use navtree::{NavNodeId, NavigationTree};
 pub use scratch::NavScratch;
-pub use shard::{HealthPolicy, ShardSessionId, ShardedEngine};
+pub use shard::{ShardSessionId, ShardedEngine};
 pub use slo::{Slo, SloBurn, SloVerb, SLOS};
 pub use trace::flightrec::{FlightRecord, RequestCtx, Verb};
 pub use trace::{Stage, StageStat};
+
+/// SplitMix64 finalizer, the crate's one deterministic bit mixer: it
+/// finishes the ring hash in [`shard`], spreads the breaker's probe jitter
+/// in [`breaker`], and draws the failpoint coins in [`fault`]. The ring
+/// layout must not move between releases, so the constants are frozen
+/// (pinned by a golden test in `shard.rs`).
+pub(crate) fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}

@@ -17,19 +17,21 @@
 //! 2. **Stickiness by session.** A [`ShardSessionId`] carries its shard
 //!    in the high bits; EXPAND / SHOWRESULTS / CLOSE route by arithmetic,
 //!    no lookup table, no cross-shard chatter.
-//! 3. **Health-biased cold opens.** When a shard's fault-plane counters
-//!    ([`Engine::health`], fed by the PR 4/5 degradation/chaos planes)
-//!    cross a [`HealthPolicy`] threshold, *new* opens walk the ring to the
-//!    next healthy node while existing sessions stay put (invariant 2 —
-//!    a sick shard drains instead of churning).
+//! 3. **Sick shards trip their breaker.** On a tier armed with
+//!    [`ShardedEngine::with_breakers`], each shard's [`Breaker`] judges
+//!    the shard's fault-plane counters ([`Engine::health`]); while it is
+//!    open, *new* opens walk the ring to the next admitting node and
+//!    sticky EXPANDs fast-fail, while existing sessions stay put
+//!    (invariant 2 — a sick shard drains instead of churning). An
+//!    unarmed tier places every open on its home shard.
 //!
 //! The router itself is lock-free by construction: the ring is immutable
-//! after construction and health checks are relaxed atomic loads. The
+//! after construction and breaker verdicts are relaxed atomic loads. The
 //! `no-cross-shard-lock` xtask rule polices that no future edit acquires
 //! a lock here while calling into a shard's engine — the one shape that
 //! would re-serialize the tier.
 
-use crate::breaker::{Breaker, BreakerDecision, BreakerState, BASELINE_SLOTS};
+use crate::breaker::{Breaker, BreakerDecision, BreakerState};
 use crate::engine::{
     Engine, EngineError, ExpandReply, HealthCounters, ScriptOp, ScriptOutcome, ServeStats,
     SessionId, SharedTree,
@@ -51,29 +53,22 @@ const VNODES_PER_SHARD: usize = 32;
 const LOCAL_BITS: u32 = 48;
 const LOCAL_MASK: u64 = (1 << LOCAL_BITS) - 1;
 
-/// SplitMix64 finalizer: full-width avalanche over an FNV accumulator.
-/// Raw FNV-1a diffuses trailing-byte differences mostly into the *low*
-/// bits, and the ring orders points by the full `u64` — without a
-/// finalizer, similar query suffixes cluster onto a few arcs (measured:
-/// one of four shards received 0 of 256 near-identical keys).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a 64-bit + SplitMix finalizer: a tiny, dependency-free, stable
-/// hash for ring points and query routing. Stability matters — the ring
-/// layout must not move between processes or releases, or restarts would
-/// dump every shard's warm cache onto a different shard.
+/// FNV-1a 64-bit + SplitMix finalizer ([`crate::mix`]): a tiny,
+/// dependency-free, stable hash for ring points and query routing.
+/// Stability matters — the ring layout must not move between processes or
+/// releases, or restarts would dump every shard's warm cache onto a
+/// different shard. The finalizer gives full-width avalanche: raw FNV-1a
+/// diffuses trailing-byte differences mostly into the *low* bits, and the
+/// ring orders points by the full `u64` — without it, similar query
+/// suffixes cluster onto a few arcs (measured: one of four shards received
+/// 0 of 256 near-identical keys).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    mix(h)
+    crate::mix(h)
 }
 
 /// Session handle in the sharded tier: the owning shard plus the shard's
@@ -129,61 +124,6 @@ impl std::fmt::Display for ShardSessionId {
     }
 }
 
-/// When is a shard too sick to take *new* sessions? Each threshold is a
-/// "≥ means unhealthy" bound on one [`HealthCounters`] signal; 0 disables
-/// that signal (the [`HealthPolicy::default`] disables all four, matching
-/// the [`DegradePolicy`](crate::engine::DegradePolicy) convention that the
-/// zero policy is the no-op policy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Unhealthy when this many sessions sit quarantined on the shard.
-    pub max_quarantined: usize,
-    /// Unhealthy at this many caught panics in the stats window.
-    pub max_session_panics: u64,
-    /// Unhealthy at this many degraded-ladder EXPANDs in the window.
-    pub max_degraded_expands: u64,
-    /// Unhealthy at this many admission-shed EXPANDs in the window.
-    pub max_shed_expands: u64,
-    /// Unhealthy when this many requests were rejected expired-on-arrival.
-    pub max_deadline_rejects: u64,
-    /// Unhealthy when the shard's EXPAND SLO burn rate ×100 reaches this
-    /// bound (e.g. 500 = burning error budget at 5× the objective).
-    pub max_expand_burn_x100: u64,
-    /// Enables the per-shard circuit breaker (DESIGN.md §5k): the base
-    /// open period in nanoseconds before a half-open probe is admitted
-    /// (plus up to 25 % seeded jitter). 0 keeps the PR 7 behavior — health
-    /// only *biases* cold-open placement; nothing trips or fast-fails.
-    pub breaker_open_ns: u64,
-    /// Seed for the breaker's deterministic probe-delay jitter (distinct
-    /// shards decorrelate by XOR-ing their index in).
-    pub breaker_seed: u64,
-}
-
-impl HealthPolicy {
-    /// Whether any enabled threshold trips for `h`. With the breaker
-    /// enabled, `h` is a *delta* since the last trip (see
-    /// [`ShardedEngine::shard_verdict`]), so a shard that degraded once
-    /// long ago is not condemned forever.
-    fn unhealthy(&self, h: &HealthCounters) -> bool {
-        (self.max_quarantined != 0 && h.sessions_quarantined >= self.max_quarantined)
-            || (self.max_session_panics != 0 && h.session_panics >= self.max_session_panics)
-            || (self.max_degraded_expands != 0 && h.degraded_expands >= self.max_degraded_expands)
-            || (self.max_shed_expands != 0 && h.shed_expands >= self.max_shed_expands)
-            || (self.max_deadline_rejects != 0 && h.deadline_rejects >= self.max_deadline_rejects)
-    }
-
-    /// Whether any signal is enabled at all (short-circuits routing to the
-    /// pure ring walk when the policy is the default no-op).
-    fn enabled(&self) -> bool {
-        *self != HealthPolicy::default()
-    }
-
-    /// Whether the circuit breaker is armed (0 = placement bias only).
-    fn breaker_enabled(&self) -> bool {
-        self.breaker_open_ns != 0
-    }
-}
-
 /// N independent [`Engine`] shards behind a consistent-hash router. See
 /// the module docs for the routing invariants; see
 /// [`ShardedEngine::stats`] / [`ShardedEngine::prometheus_text`] for the
@@ -196,10 +136,11 @@ where
     /// Consistent-hash ring: `(point, shard)` sorted by point, immutable
     /// after construction — routing is a lock-free binary search.
     ring: Vec<(u64, u16)>,
-    health: HealthPolicy,
-    /// One circuit breaker per shard (all-atomic state machines; inert
-    /// until [`HealthPolicy::breaker_open_ns`] is set).
+    /// One circuit breaker per shard (all-atomic state machines).
     breakers: Vec<Breaker>,
+    /// Probe-jitter seed of an armed tier ([`ShardedEngine::with_breakers`]);
+    /// `None` leaves every breaker closed and placement on the home shard.
+    breaker_seed: Option<u64>,
 }
 
 impl<B> ShardedEngine<B>
@@ -244,14 +185,16 @@ where
         ShardedEngine {
             shards,
             ring,
-            health: HealthPolicy::default(),
             breakers,
+            breaker_seed: None,
         }
     }
 
-    /// Builder-style [`HealthPolicy`] override for cold-open routing bias.
-    pub fn with_health_policy(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+    /// Arms the per-shard circuit breakers (DESIGN.md §5k). `seed` feeds
+    /// the probe-delay jitter, so a chaos drill replays bit-exactly per
+    /// seed; shards decorrelate by XOR-ing their index in.
+    pub fn with_breakers(mut self, seed: u64) -> Self {
+        self.breaker_seed = Some(seed);
         self
     }
 
@@ -277,53 +220,19 @@ where
         self.breakers[shard].state()
     }
 
-    /// The health verdict for one shard plus the raw counters the breaker
-    /// pins as baselines at trip time. With the breaker armed, each
-    /// monotone counter is judged as a *delta since the last trip* (so a
-    /// shard recovers once the fault stops feeding the counters — an
-    /// absolute verdict would hold a breaker open forever). Quarantine is
-    /// a gauge, not a counter, and is always judged absolutely. The burn
-    /// signal reads the shard's lock-free EXPAND histogram directly; it is
-    /// only consulted here, on the open/placement path, never per-EXPAND.
-    fn shard_verdict(&self, shard: usize) -> (bool, [u64; BASELINE_SLOTS]) {
-        let h = self.shards[shard].health();
-        let counters = [
-            h.degraded_expands,
-            h.shed_expands,
-            h.session_panics,
-            h.deadline_rejects,
-        ];
-        let b = &self.breakers[shard];
-        let judged = HealthCounters {
-            degraded_expands: counters[0].saturating_sub(b.baseline(0)),
-            shed_expands: counters[1].saturating_sub(b.baseline(1)),
-            session_panics: counters[2].saturating_sub(b.baseline(2)),
-            deadline_rejects: counters[3].saturating_sub(b.baseline(3)),
-            sessions_quarantined: h.sessions_quarantined,
-        };
-        let mut sick = self.health.unhealthy(&judged);
-        if !sick && self.health.max_expand_burn_x100 != 0 {
-            sick = self.shards[shard].expand_burn_x100() >= self.health.max_expand_burn_x100;
-        }
-        (!sick, counters)
-    }
-
-    /// Drives shard `shard`'s breaker one step and reports whether it may
-    /// take traffic right now. Inert (always `Admit`) unless the policy
-    /// arms the breaker.
+    /// Drives shard `shard`'s breaker one step against the shard's health
+    /// counters and reports whether it may take traffic right now. Always
+    /// `Admit` on an unarmed tier.
     fn breaker_admit(&self, shard: usize) -> BreakerDecision {
-        if !self.health.breaker_enabled() {
+        let Some(seed) = self.breaker_seed else {
             return BreakerDecision::Admit;
-        }
-        let (healthy, counters) = self.shard_verdict(shard);
+        };
         self.breakers[shard].admit(
             trace::now_ns(),
-            healthy,
-            self.health.breaker_open_ns,
+            &self.shards[shard].health(),
             // Decorrelate per-shard probe jitter so N breakers tripped by
             // one incident don't re-probe in lockstep.
-            self.health.breaker_seed ^ (shard as u64),
-            counters,
+            seed ^ (shard as u64),
         )
     }
 
@@ -339,41 +248,30 @@ where
     }
 
     /// The sticky home shard for `query` — pure consistent hashing, no
-    /// health bias. This is where the query's tree is (or will be) warm.
+    /// breaker verdict. This is where the query's tree is (or will be) warm.
     pub fn shard_for_query(&self, query: &str) -> usize {
         usize::from(self.ring[self.ring_index(query)].1)
     }
 
     /// Where a *new* session over `query` would be placed right now: the
-    /// sticky home shard unless the health policy marks it unhealthy, in
-    /// which case the ring is walked clockwise to the next node owned by a
-    /// healthy shard. Falls back to the home shard when every shard is
-    /// unhealthy (degrading in place beats bouncing between sick shards).
+    /// sticky home shard unless its breaker refuses, in which case the ring
+    /// is walked clockwise to the next node whose breaker admits. Falls
+    /// back to the home shard when every breaker refuses (degrading in
+    /// place beats bouncing between sick shards). On an unarmed tier every
+    /// breaker admits, so this is the home shard.
     pub fn open_placement(&self, query: &str) -> usize {
         let start = self.ring_index(query);
-        let primary = usize::from(self.ring[start].1);
-        if !self.health.enabled() {
-            return primary;
-        }
-        for k in 0..self.ring.len() {
-            let shard = usize::from(self.ring[(start + k) % self.ring.len()].1);
-            let open = if self.health.breaker_enabled() {
-                // The placement probe doubles as the breaker's clock: a
-                // sick shard trips here (cold opens divert silently — the
-                // caller never sees an error), and after the open period a
-                // healthy one re-earns traffic through half-open probes.
-                matches!(self.breaker_admit(shard), BreakerDecision::Admit)
-            } else {
-                !self.health.unhealthy(&self.shards[shard].health())
-            };
-            if open {
-                return shard;
-            }
-        }
-        primary
+        // The placement probe doubles as the breaker's clock: a sick shard
+        // trips here (cold opens divert silently — the caller never sees an
+        // error), and after the open period a healthy one re-earns traffic
+        // through half-open probes.
+        (0..self.ring.len())
+            .map(|k| usize::from(self.ring[(start + k) % self.ring.len()].1))
+            .find(|&shard| matches!(self.breaker_admit(shard), BreakerDecision::Admit))
+            .unwrap_or(usize::from(self.ring[start].1))
     }
 
-    /// Opens a session on the (health-biased) placement shard for `query`.
+    /// Opens a session on the placement shard for `query`.
     /// Typed failures are the shard engine's ([`Engine::open_session`]).
     pub fn open_session(&self, query: &str) -> Result<ShardSessionId, EngineError> {
         let shard = self.open_placement(query);
@@ -402,29 +300,27 @@ where
     }
 
     /// EXPAND on a parked session; routes by the id's shard field alone
-    /// (sticky — health bias never moves an existing session). With the
-    /// breaker armed, a sticky EXPAND into an open breaker fast-fails with
+    /// (sticky — a breaker never moves an existing session). On an armed
+    /// tier, a sticky EXPAND into an open breaker fast-fails with
     /// a typed [`EngineError::BreakerOpen`] carrying a retry-after hint —
     /// queueing work behind a sick shard is how overload spreads. CLOSE
     /// and [`ShardedEngine::with_session`] bypass the breaker on purpose:
     /// a draining shard must stay drainable.
     pub fn expand(&self, id: ShardSessionId, node: NavNodeId) -> Result<ExpandReply, EngineError> {
         let engine = self.route_id(id)?;
-        if self.health.breaker_enabled() {
-            if let BreakerDecision::Reject { retry_after_ns } = self.breaker_admit(id.shard()) {
-                // Record the refusal as a first-class flight entry: the
-                // recorder may have no scope yet (REPL/direct callers), so
-                // mint one; the proto tier's outer scope stays outermost.
-                let _scope = flightrec::ensure_scope(Verb::Expand);
-                flightrec::note_shard(id.shard());
-                flightrec::note_shed(flightrec::SHED_BREAKER);
-                let err = EngineError::BreakerOpen {
-                    shard: id.shard(),
-                    retry_after_ns,
-                };
-                flightrec::note_error(err.flight_code());
-                return Err(err);
-            }
+        if let BreakerDecision::Reject { retry_after_ns } = self.breaker_admit(id.shard()) {
+            // Record the refusal as a first-class flight entry: the
+            // recorder may have no scope yet (REPL/direct callers), so
+            // mint one; the proto tier's outer scope stays outermost.
+            let _scope = flightrec::ensure_scope(Verb::Expand);
+            flightrec::note_shard(id.shard());
+            flightrec::note_shed(flightrec::SHED_BREAKER);
+            let err = EngineError::BreakerOpen {
+                shard: id.shard(),
+                retry_after_ns,
+            };
+            flightrec::note_error(err.flight_code());
+            return Err(err);
         }
         engine.expand(id.local_id(), node)
     }
@@ -661,13 +557,12 @@ where
 }
 
 // The whole point of the tier: it must be shareable across serving
-// threads. (Engine<B> is Send + Sync for any valid B; the ring and policy
+// threads. (Engine<B> is Send + Sync for any valid B; the ring and seed
 // are plain immutable data.)
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedEngine<fn(&str) -> Option<SharedTree>>>();
     assert_send_sync::<ShardSessionId>();
-    assert_send_sync::<HealthPolicy>();
 };
 
 #[cfg(all(test, not(interleave)))]
@@ -828,8 +723,7 @@ mod tests {
             assert_eq!(sharded.shard_for_query(&shouted), home);
             // Stable across calls.
             assert_eq!(sharded.shard_for_query(label), home);
-            // With the default (disabled) health policy, placement IS the
-            // sticky home shard.
+            // On an unarmed tier, placement IS the sticky home shard.
             assert_eq!(sharded.open_placement(label), home);
         }
     }
@@ -992,47 +886,11 @@ mod tests {
         assert_eq!(type_lines, 1);
     }
 
-    #[test]
-    fn health_bias_moves_new_opens_but_not_parked_sessions() {
-        let (sharded, labels) = fixture(2);
-        let sharded = sharded.with_health_policy(HealthPolicy {
-            max_shed_expands: 1,
-            ..HealthPolicy::default()
-        });
-        // Find a query homed on shard 0 and open a session there.
-        let on_zero = labels
-            .iter()
-            .find(|l| sharded.shard_for_query(l) == 0)
-            .expect("some label homes on shard 0");
-        let parked = sharded.open_session(on_zero).unwrap();
-        assert_eq!(parked.shard(), 0);
-        // No shed EXPANDs yet: shard 0 is healthy, placement is sticky.
-        assert_eq!(sharded.open_placement(on_zero), 0);
-        // Trip shard 0's shed counter through the admission gate: an
-        // engine with max_inflight_expands pushed to the floor sheds. The
-        // simplest deterministic trip is the test-only counter bump via a
-        // quarantine-free path — here we simulate load by asking the
-        // policy question directly after a real shed is impossible to
-        // stage cheaply; so instead verify the routing arithmetic against
-        // a synthetic unhealthy signal.
-        let unhealthy = HealthCounters {
-            shed_expands: 1,
-            ..HealthCounters::default()
-        };
-        assert!(sharded.health.unhealthy(&unhealthy));
-        assert!(!sharded.health.unhealthy(&HealthCounters::default()));
-        // Parked sessions stay put regardless of health: the id routes by
-        // shard bits, never through placement.
-        let q = sharded.session_query(parked).unwrap();
-        assert_eq!(q, *on_zero);
-        sharded.close_session(parked).unwrap();
-    }
-
-    /// A 2-shard fixture where exactly one shard degrades every EXPAND
-    /// (exact budget floored to 1 node forces the myopic rung) — the
+    /// An unarmed 2-shard fixture where exactly one shard degrades every
+    /// EXPAND (exact budget floored to 1 node forces the myopic rung) — the
     /// policy-driven way to make one shard sick without the fault
     /// registry, which lib tests must not arm (see the NOTE below).
-    fn breaker_fixture() -> (
+    fn degrading_fixture() -> (
         ShardedEngine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>,
         Vec<String>,
         usize,
@@ -1073,22 +931,40 @@ mod tests {
             } else {
                 engine
             }
-        })
-        .with_health_policy(HealthPolicy {
-            max_degraded_expands: 1,
-            // 200 ms open period: wide enough that the fast-fail asserts
-            // below always run while the breaker is still open (even on a
-            // loaded CI box), short enough to recover in-test.
-            breaker_open_ns: 200_000_000,
-            breaker_seed: 42,
-            ..HealthPolicy::default()
         });
         (sharded, labels, sick)
     }
 
     #[test]
+    fn golden_ring_routing_and_probe_delays_are_stable() {
+        // The ring layout and the probe schedule are documented to stay put
+        // across releases (restarts keep each shard's warm cache; chaos
+        // drills replay per seed). These values are the frozen layout.
+        let sharded = ShardedEngine::new(4, |_| {
+            Engine::new(|_: &str| None, crate::cost::CostParams::default(), 1)
+        });
+        for (query, shard) in [
+            ("follistatin", 2),
+            ("cell death", 1),
+            ("Apoptosis  ", 2),
+            ("query term 0", 3),
+            ("insulin", 3),
+            ("mesh", 0),
+            ("éclair", 1),
+            ("", 2),
+        ] {
+            assert_eq!(sharded.shard_for_query(query), shard, "{query:?}");
+        }
+        assert_eq!(crate::breaker::probe_delay_ns(7, 1), 206_571_130);
+        assert_eq!(crate::breaker::probe_delay_ns(42, 3), 240_735_999);
+        // The canonical first SplitMix64 output for state 0.
+        assert_eq!(crate::mix(0), 0xe220_a839_7b1d_cdaf);
+    }
+
+    #[test]
     fn breaker_trips_diverts_fast_fails_and_recovers() {
-        let (sharded, labels, sick) = breaker_fixture();
+        let (sharded, labels, sick) = degrading_fixture();
+        let sharded = sharded.with_breakers(42);
         let well = 1 - sick;
         let query = &labels[0];
         assert_eq!(sharded.shard_for_query(query), sick);
@@ -1137,7 +1013,7 @@ mod tests {
         // and three healthy probes re-close the breaker — placement snaps
         // back to the sticky home shard.
         sharded.reset_shard_stats(sick);
-        // Past the worst-case probe delay (open_ns + 25 % jitter).
+        // Past the worst-case probe delay (OPEN_NS + 25 % jitter).
         std::thread::sleep(std::time::Duration::from_millis(260));
         for _ in 0..crate::breaker::PROBES_TO_CLOSE {
             assert_eq!(sharded.open_placement(query), sick);
@@ -1153,19 +1029,21 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_breaker_keeps_pr7_placement_bias_semantics() {
-        let (sharded, labels) = fixture(2);
-        let sharded = sharded.with_health_policy(HealthPolicy {
-            max_degraded_expands: 1,
-            ..HealthPolicy::default()
-        });
-        // breaker_open_ns = 0: nothing trips, nothing fast-fails.
+    fn unarmed_tier_keeps_home_placement_and_never_fast_fails() {
+        let (sharded, labels, sick) = degrading_fixture();
         let query = &labels[0];
-        let id = sharded.open_session(query).unwrap();
-        sharded.expand(id, NavNodeId::ROOT).unwrap();
-        assert_eq!(sharded.breaker_state(id.shard()), BreakerState::Closed);
-        assert_eq!(sharded.breaker(id.shard()).trips(), 0);
-        sharded.close_session(id).unwrap();
+        for _ in 0..3 {
+            let id = sharded.open_session(query).unwrap();
+            assert_eq!(id.shard(), sick, "home placement");
+            let reply = sharded.expand(id, NavNodeId::ROOT).unwrap();
+            assert!(reply.degraded.is_some(), "budget-1 shard must degrade");
+            sharded.close_session(id).unwrap();
+        }
+        assert_eq!(sharded.shard_health(sick).degraded_expands, 3);
+        assert_eq!(sharded.open_placement(query), sick);
+        assert_eq!(sharded.breaker_state(sick), BreakerState::Closed);
+        assert_eq!(sharded.breaker(sick).trips(), 0);
+        assert_eq!(sharded.shard_stats(sick).breaker_rejects, 0);
     }
 
     // NOTE: the fault-registry-arming reroute drill (quarantine shard 0 →

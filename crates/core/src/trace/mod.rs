@@ -580,9 +580,12 @@ mod tests {
         }
         set_enabled(false);
         let events = ring_snapshot();
+        // The ring is process-global: engine tests on other threads may
+        // push Partition spans while this one has tracing on.
+        let tid = TID.with(|t| *t) as u16;
         let mine: Vec<_> = events
             .iter()
-            .filter(|e| e.stage == Stage::Partition as u8)
+            .filter(|e| e.stage == Stage::Partition as u8 && e.tid == tid)
             .collect();
         assert_eq!(mine.len(), 2);
         assert_eq!(mine[0].kind, SpanKind::Begin);

@@ -28,8 +28,8 @@ use bionav_core::fault::{self, FailSite, Fault, FaultPlan, INJECTED_PANIC_PREFIX
 use bionav_core::session::SessionState;
 use bionav_core::trace::flightrec;
 use bionav_core::{
-    BreakerState, CostParams, DegradePolicy, DegradeReason, Engine, EngineError, HealthPolicy,
-    NavNodeId, NavigationTree, RequestCtx, ScriptOp, ShardedEngine, SharedTree, Verb,
+    BreakerState, CostParams, DegradePolicy, DegradeReason, Engine, EngineError, NavNodeId,
+    NavigationTree, RequestCtx, ScriptOp, ShardedEngine, SharedTree, Verb,
 };
 use bionav_medline::corpus::{self, CorpusConfig};
 use bionav_medline::InvertedIndex;
@@ -894,25 +894,23 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
     assert_eq!(merged.sessions_opened, merged.sessions_closed);
 }
 
-/// The health-bias reroute drill: a shard-0-scoped panic quarantines a
-/// session, tripping the tier's `max_quarantined` policy — new cold opens
+/// The quarantine drill: a shard-0-scoped panic quarantines a session,
+/// and the next placement probe trips shard 0's breaker — new cold opens
 /// for shard-0-homed queries divert to shard 1 (and serve cleanly there
-/// even while the shard-0 storm is still armed), sticky routing still
-/// drains the poisoned session on shard 0, and placement snaps back to
-/// the home shard the moment the quarantined slot drains.
+/// even while the shard-0 storm is still armed), sticky EXPANDs into the
+/// open breaker fail typed with `BreakerOpen`, CLOSE still drains the
+/// poisoned session on shard 0, and once the probe delay elapses the
+/// drained shard re-earns its home placement.
 #[test]
-fn health_bias_reroutes_cold_opens_and_snaps_back() {
+fn quarantine_trips_the_breaker_diverts_opens_and_recovers() {
     let _serial = chaos_lock();
     quiet_injected_panics();
-    let sharded = fixture_sharded(2).with_health_policy(HealthPolicy {
-        max_quarantined: 1,
-        ..HealthPolicy::default()
-    });
+    let sharded = fixture_sharded(2).with_breakers(chaos_seed());
     let homes = queries_by_home_shard(&sharded, 4);
     let on_zero = homes[0][0].clone();
 
     let doomed = sharded.open_session(&on_zero).expect("healthy tier opens");
-    assert_eq!(doomed.shard(), 0, "no bias yet: sticky home placement");
+    assert_eq!(doomed.shard(), 0, "healthy tier: sticky home placement");
 
     let plan = FaultPlan::new(11)
         .site(FailSite::SolverEntry, 1, Fault::Panic)
@@ -924,8 +922,10 @@ fn health_bias_reroutes_cold_opens_and_snaps_back() {
     }
     assert_eq!(sharded.shard_health(0).sessions_quarantined, 1);
 
-    // The tripped policy moves *new* opens off the sick shard…
+    // The quarantine trips shard 0's breaker and moves *new* opens off it…
     assert_eq!(sharded.open_placement(&on_zero), 1);
+    assert_eq!(sharded.breaker_state(0), BreakerState::Open);
+    assert_eq!(sharded.breaker(1).trips(), 0);
     let rerouted = sharded.open_session(&on_zero).expect("reroute opens");
     assert_eq!(rerouted.shard(), 1, "cold open must divert to shard 1");
     // …where it serves exactly, even with the shard-0 storm still armed
@@ -936,11 +936,31 @@ fn health_bias_reroutes_cold_opens_and_snaps_back() {
     assert_eq!(reply.degraded, None);
     sharded.close_session(rerouted).expect("rerouted drains");
 
-    // Stickiness: the poisoned session still routes to shard 0 and drains
-    // there; recovery snaps placement back to the home shard.
+    // Stickiness: the poisoned session still routes to shard 0, where the
+    // open breaker refuses its EXPAND typed…
+    match sharded.expand(doomed, NavNodeId::ROOT) {
+        Err(EngineError::BreakerOpen {
+            shard,
+            retry_after_ns,
+        }) => {
+            assert_eq!(shard, 0);
+            assert!(retry_after_ns >= 1, "retry hint must be live");
+        }
+        other => panic!("expected BreakerOpen, got {other:?}"),
+    }
+    // …and CLOSE bypasses the breaker, draining the quarantined slot.
     sharded.close_session(doomed).expect("quarantined drains");
     assert_eq!(sharded.shard_health(0).sessions_quarantined, 0);
-    assert_eq!(sharded.open_placement(&on_zero), 0, "bias must lift");
+
+    // Past the worst-case probe delay (OPEN_NS + 25 % jitter) the drained
+    // shard's counters sit at the trip baseline: healthy probes re-close
+    // the breaker and placement returns to the home shard.
+    std::thread::sleep(std::time::Duration::from_millis(260));
+    for _ in 0..bionav_core::breaker::PROBES_TO_CLOSE {
+        assert_eq!(sharded.open_placement(&on_zero), 0);
+    }
+    assert_eq!(sharded.breaker_state(0), BreakerState::Closed);
+    assert_eq!(sharded.open_placement(&on_zero), 0, "placement returned");
     let merged = sharded.stats();
     assert_eq!(merged.sessions_active, 0);
     assert_eq!(merged.sessions_opened, merged.sessions_closed);
@@ -961,15 +981,7 @@ fn health_bias_reroutes_cold_opens_and_snaps_back() {
 #[test]
 fn slow_shard_storm_trips_only_its_own_breaker_and_recovers() {
     let _serial = chaos_lock();
-    let sharded = fixture_sharded(2).with_health_policy(HealthPolicy {
-        max_degraded_expands: 1,
-        // 200 ms open period: wide enough that the fast-fail asserts below
-        // run while the breaker is still open (even on a loaded CI box),
-        // short enough to recover in-test.
-        breaker_open_ns: 200_000_000,
-        breaker_seed: chaos_seed(),
-        ..HealthPolicy::default()
-    });
+    let sharded = fixture_sharded(2).with_breakers(chaos_seed());
     let homes = queries_by_home_shard(&sharded, 4);
     let on_zero = homes[0][0].clone();
 
@@ -1048,7 +1060,7 @@ fn slow_shard_storm_trips_only_its_own_breaker_and_recovers() {
     sharded.close_session(parked).unwrap();
 
     // The storm lifts; stale counters reset; past the worst-case probe
-    // delay (open_ns + 25 % jitter), PROBES_TO_CLOSE healthy probes
+    // delay (OPEN_NS + 25 % jitter), PROBES_TO_CLOSE healthy probes
     // re-close the breaker and placement snaps back to the home shard.
     drop(armed);
     sharded.reset_shard_stats(0);

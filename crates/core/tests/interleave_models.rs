@@ -13,7 +13,7 @@
 //!    writer/reader races (DESIGN.md §5j),
 //! 5. the [`ShardedEngine`] tier (DESIGN.md §5h): concurrent open / route /
 //!    close across two shards keeps every per-shard and merged gauge
-//!    balanced, and a health-bias flip racing an in-flight cold open never
+//!    balanced, and a breaker trip racing an in-flight cold open never
 //!    deadlocks, strands, or misroutes a session,
 //! 6. the overload plane (DESIGN.md §5k): the
 //!    [`bionav_core::admission::AdmissionGate`] under racing
@@ -45,8 +45,7 @@ use std::sync::Arc;
 use bionav_core::session::CutCache;
 use bionav_core::telemetry::LatencyHistogram;
 use bionav_core::{
-    CostParams, EdgeCut, Engine, EngineError, HealthPolicy, NavNodeId, NavigationTree,
-    ShardedEngine, SharedTree,
+    CostParams, EdgeCut, Engine, EngineError, NavNodeId, NavigationTree, ShardedEngine, SharedTree,
 };
 use bionav_medline::{Citation, CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
@@ -431,7 +430,7 @@ fn sharded_open_route_close_gauge_consistency() {
                         assert_eq!(
                             id.shard(),
                             home,
-                            "no-bias routing must land on the sticky home shard"
+                            "unarmed routing must land on the sticky home shard"
                         );
                         let reply = sharded
                             .expand(id, NavNodeId::ROOT)
@@ -458,86 +457,82 @@ fn sharded_open_route_close_gauge_consistency() {
     );
 }
 
-/// A health-bias flip (shard 0's quarantine gauge tripping the policy)
-/// racing an in-flight cold open for a query homed on shard 0. Both orders
-/// are legal — the open may beat the flip and land home, or see it and
-/// divert to shard 1 — but in every schedule the opened session must be
-/// fully served *where it landed* (stickiness: bias moves only new opens,
-/// never live sessions), and once the quarantined slot drains, placement
-/// must snap back to the home shard.
+/// A quarantine on shard 0 (the breaker's sick signal) racing an
+/// in-flight cold open for a query homed on shard 0, on an armed tier.
+/// Both orders are legal — the open may beat the quarantine and land
+/// home, or see it, trip shard 0's breaker and divert to shard 1 — and the
+/// EXPAND may then be served or refused typed with `BreakerOpen` (a
+/// breaker tripped after the open landed home). In every schedule the
+/// opened session is drained by CLOSE wherever it landed (stickiness: a
+/// breaker moves only new opens, never live sessions), new placements
+/// divert while the slot sits poisoned, and the merged gauges balance.
 #[test]
-fn sharded_health_bias_flip_vs_inflight_open() {
+fn sharded_breaker_trip_vs_inflight_open() {
     let tree: SharedTree = Arc::new(fig3_tree());
     let cfg = Config {
         preemption_bound: 2,
         max_executions: 400_000,
         ..Config::default()
     };
-    explore(
-        "sharded_health_bias_flip_vs_inflight_open",
-        cfg,
-        move || {
-            let (sharded, queries) = two_shard_tier(&tree);
-            let sharded = Arc::new(sharded.with_health_policy(HealthPolicy {
-                max_quarantined: 1,
-                ..HealthPolicy::default()
-            }));
-            let on_zero = queries[0].clone();
-            // The flip's raw material: a session on shard 0, opened before
-            // any concurrency, quarantined by the poisoner mid-model.
-            let doomed = sharded
-                .engine(0)
-                .open_session(&on_zero)
-                .expect("fixture query opens");
-            let poisoner = {
-                let sharded = Arc::clone(&sharded);
-                interleave::thread::spawn(move || {
-                    sharded.engine(0).model_quarantine(doomed);
-                })
-            };
-            let opener = {
-                let sharded = Arc::clone(&sharded);
-                let on_zero = on_zero.clone();
-                interleave::thread::spawn(move || {
-                    let id = sharded
-                        .open_session(&on_zero)
-                        .expect("a cold open always finds a shard");
-                    assert!(id.shard() < 2, "placement must name a real shard");
-                    let reply = sharded
-                        .expand(id, NavNodeId::ROOT)
-                        .expect("the session serves on whichever shard it landed");
-                    assert!(reply.degraded.is_none(), "clean path never degrades");
-                    sharded
-                        .close_session(id)
-                        .expect("sticky routing drains the session where it opened");
-                })
-            };
-            poisoner.join().unwrap();
-            opener.join().unwrap();
-            // Quarantine is now visible: new placements for the query must
-            // divert off the home shard while the slot sits poisoned...
-            assert_eq!(sharded.shard_health(0).sessions_quarantined, 1);
-            assert_eq!(
-                sharded.open_placement(&on_zero),
-                1,
-                "tripped policy must bias new opens off the home shard"
-            );
-            // ...and snap back the moment it drains.
-            sharded
-                .engine(0)
-                .close_session(doomed)
-                .expect("quarantined slot drains");
-            assert_eq!(
-                sharded.open_placement(&on_zero),
-                0,
-                "recovery must restore sticky placement"
-            );
-            let merged = sharded.stats();
-            assert_eq!(merged.sessions_active, 0, "merged gauge must balance");
-            assert_eq!(merged.sessions_opened, merged.sessions_closed);
-            assert_eq!(merged.sessions_quarantined, 0);
-        },
-    );
+    explore("sharded_breaker_trip_vs_inflight_open", cfg, move || {
+        let (sharded, queries) = two_shard_tier(&tree);
+        let sharded = Arc::new(sharded.with_breakers(7));
+        let on_zero = queries[0].clone();
+        // The trip's raw material: a session on shard 0, opened before
+        // any concurrency, quarantined by the poisoner mid-model.
+        let doomed = sharded
+            .engine(0)
+            .open_session(&on_zero)
+            .expect("fixture query opens");
+        let poisoner = {
+            let sharded = Arc::clone(&sharded);
+            interleave::thread::spawn(move || {
+                sharded.engine(0).model_quarantine(doomed);
+            })
+        };
+        let opener = {
+            let sharded = Arc::clone(&sharded);
+            let on_zero = on_zero.clone();
+            interleave::thread::spawn(move || {
+                let id = sharded
+                    .open_session(&on_zero)
+                    .expect("a cold open always finds a shard");
+                assert!(id.shard() < 2, "placement must name a real shard");
+                match sharded.expand(id, NavNodeId::ROOT) {
+                    Ok(reply) => {
+                        assert!(reply.degraded.is_none(), "clean path never degrades")
+                    }
+                    Err(EngineError::BreakerOpen { shard, .. }) => {
+                        assert_eq!(shard, id.shard(), "refused by its own shard");
+                    }
+                    Err(other) => panic!("served or refused typed, got {other}"),
+                }
+                sharded
+                    .close_session(id)
+                    .expect("sticky routing drains the session where it opened");
+            })
+        };
+        poisoner.join().unwrap();
+        opener.join().unwrap();
+        // Quarantine is now visible: new placements for the query must
+        // divert off the home shard while the slot sits poisoned...
+        assert_eq!(sharded.shard_health(0).sessions_quarantined, 1);
+        assert_eq!(
+            sharded.open_placement(&on_zero),
+            1,
+            "a tripped breaker must divert new opens off the home shard"
+        );
+        assert_eq!(sharded.breaker(1).trips(), 0, "shard 1 never trips");
+        // ...and CLOSE drains the poisoned slot through the breaker.
+        sharded
+            .engine(0)
+            .close_session(doomed)
+            .expect("quarantined slot drains");
+        let merged = sharded.stats();
+        assert_eq!(merged.sessions_active, 0, "merged gauge must balance");
+        assert_eq!(merged.sessions_opened, merged.sessions_closed);
+        assert_eq!(merged.sessions_quarantined, 0);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -588,7 +583,7 @@ fn admission_gate_admit_release_adjust_races() {
 }
 
 /// Two racing verdicts against one [`Breaker`] — one healthy, one
-/// unhealthy, at the same instant: whatever order the scheduler picks, the
+/// sick, at the same instant: whatever order the scheduler picks, the
 /// state must land on a real state code, at most one trip is recorded (the
 /// CAS serializes the transition), the reject count matches the rejected
 /// callers exactly, and the baselines are the trip winner's snapshot —
@@ -598,17 +593,15 @@ fn breaker_racing_trip_and_admit() {
     use bionav_core::breaker::{Breaker, BreakerDecision, BreakerState};
     explore("breaker_racing_trip_and_admit", Config::default(), || {
         let breaker = Arc::new(Breaker::new());
-        const OPEN_NS: u64 = 1_000_000;
         let workers: Vec<_> = (0..2u64)
             .map(|t| {
                 let breaker = Arc::clone(&breaker);
                 interleave::thread::spawn(move || {
-                    let healthy = t == 0;
-                    // Distinct per-writer baselines so a torn snapshot
+                    // Writer 0 reads all-zero counters (healthy); writer 1
+                    // reads 11 in every slot (sick), so a torn snapshot
                     // (slots from different writers) is detectable.
-                    let base = [10 + t; bionav_core::breaker::BASELINE_SLOTS];
                     matches!(
-                        breaker.admit(100, healthy, OPEN_NS, 7, base),
+                        breaker.admit(100, &counters_at(11 * t), 7),
                         BreakerDecision::Reject { .. }
                     )
                 })
@@ -624,17 +617,26 @@ fn breaker_racing_trip_and_admit() {
             matches!(state, BreakerState::Closed | BreakerState::Open),
             "state must be a real code, got {state:?}"
         );
-        // The unhealthy verdict always trips (the healthy caller may admit
+        // The sick verdict always trips (the healthy caller may admit
         // before or after, but never un-trips a just-opened breaker).
-        assert_eq!(state, BreakerState::Open, "the unhealthy verdict trips");
+        assert_eq!(state, BreakerState::Open, "the sick verdict trips");
         assert_eq!(breaker.trips(), 1, "the CAS serializes to one trip");
         assert_eq!(breaker.rejects(), rejected, "rejects match the callers");
         // Baselines are one writer's snapshot, not a torn mix: the tripper
-        // is the unhealthy writer (t == 1), so every slot reads 11.
-        for slot in 0..bionav_core::breaker::BASELINE_SLOTS {
-            assert_eq!(breaker.baseline(slot), 11, "torn baseline at {slot}");
-        }
+        // is the sick writer (t == 1), so every slot reads 11.
+        assert_eq!(breaker.baseline(), counters_at(11), "torn baseline");
     });
+}
+
+/// A shard health snapshot whose four fault-plane counters all read `n`.
+fn counters_at(n: u64) -> bionav_core::engine::HealthCounters {
+    bionav_core::engine::HealthCounters {
+        degraded_expands: n,
+        shed_expands: n,
+        session_panics: n,
+        deadline_rejects: n,
+        sessions_quarantined: 0,
+    }
 }
 
 /// An open breaker racing two probe candidates at the same post-delay
@@ -649,19 +651,18 @@ fn breaker_racing_probes_after_the_delay() {
         "breaker_racing_probes_after_the_delay",
         Config::default(),
         || {
-            const OPEN_NS: u64 = 1_000_000;
             const SEED: u64 = 7;
             let breaker = Arc::new(Breaker::new());
-            let no_base = [0u64; bionav_core::breaker::BASELINE_SLOTS];
-            breaker.admit(0, false, OPEN_NS, SEED, no_base);
+            // The trip pins the counters at 1; probes reading the same
+            // counters (no growth) are healthy.
+            let tripped = counters_at(1);
+            breaker.admit(0, &tripped, SEED);
             assert_eq!(breaker.state(), BreakerState::Open);
-            let probe_at = probe_delay_ns(OPEN_NS, SEED, 1);
+            let probe_at = probe_delay_ns(SEED, 1);
             let probes: Vec<_> = (0..2u64)
                 .map(|_| {
                     let breaker = Arc::clone(&breaker);
-                    interleave::thread::spawn(move || {
-                        breaker.admit(probe_at, true, OPEN_NS, SEED, no_base)
-                    })
+                    interleave::thread::spawn(move || breaker.admit(probe_at, &tripped, SEED))
                 })
                 .collect();
             for p in probes {
@@ -675,7 +676,7 @@ fn breaker_racing_probes_after_the_delay() {
             // No lost update on the probe tally: two healthy probes landed;
             // one more must close it in every schedule.
             for _ in 0..PROBES_TO_CLOSE {
-                breaker.admit(probe_at + 1, true, OPEN_NS, SEED, no_base);
+                breaker.admit(probe_at + 1, &tripped, SEED);
             }
             assert_eq!(breaker.state(), BreakerState::Closed);
             assert_eq!(breaker.trips(), 1, "probing never re-trips a healthy shard");

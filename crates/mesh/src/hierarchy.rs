@@ -67,7 +67,7 @@ pub struct ConceptHierarchy {
 /// columns, children in CSR form, labels concatenated into one arena
 /// string. Whole-arena passes (the navigation-tree build walks tens of
 /// thousands of nodes per query) read these contiguous columns instead of
-/// pointer-chasing heap-allocated [`Node`] structs.
+/// pointer-chasing heap-allocated `Node` structs.
 #[derive(Debug, Clone)]
 pub struct HierarchyColumns {
     parent: Vec<u32>,

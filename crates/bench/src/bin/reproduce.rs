@@ -20,8 +20,8 @@
 //! (the Poisson overload sweep that finds the static-cap knee and proves
 //! the adaptive admission plane holds the SLO past it) are *not* included
 //! in `all`: both replay the serving workload many times over, which
-//! would dominate the cheap CI pass. CI runs them explicitly in the
-//! bench-guard step.
+//! would dominate the cheap CI pass. CI runs each in its own step, where
+//! its shape checks are the gate.
 //! ```
 //!
 //! Exits non-zero when any shape check fails, so CI can gate on the
@@ -41,7 +41,7 @@ struct Args {
     crawled: bool,
     workers: Option<usize>,
     rounds: usize,
-    out: String,
+    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -51,7 +51,7 @@ fn parse_args() -> Result<Args, String> {
     let mut crawled = false;
     let mut workers = None;
     let mut rounds = 3usize;
-    let mut out = "BENCH_serve.json".to_string();
+    let mut out = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -101,7 +101,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => {
                 i += 1;
-                out = argv.get(i).ok_or("--out needs a path")?.clone();
+                out = Some(argv.get(i).ok_or("--out needs a path")?.clone());
             }
             "--help" | "-h" => return Err("help".into()),
             name if !name.starts_with('-') => experiment = name.to_string(),
@@ -179,6 +179,8 @@ fn main() -> ExitCode {
 
     let mut checks = Vec::new();
     let run = |name: &str| args.experiment == "all" || args.experiment == name;
+    let out =
+        |default: &'static str| std::path::PathBuf::from(args.out.as_deref().unwrap_or(default));
     if run("table1") {
         checks.push(experiments::table1(workload.as_ref().unwrap(), &params));
     }
@@ -210,10 +212,11 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| bionav_bench::default_workers(w.queries.len() * args.rounds));
         checks.push(experiments::serve(
             w,
+            args.scale,
             &params,
             workers,
             args.rounds,
-            Some(std::path::Path::new(&args.out)),
+            Some(&out("BENCH_serve.json")),
         ));
     }
     // Exact name only — see the module docs for why `all` skips it.
@@ -226,16 +229,12 @@ fn main() -> ExitCode {
         let workers = args
             .workers
             .unwrap_or_else(|| (bionav_bench::default_workers(usize::MAX) * 4).clamp(8, 64));
-        let out = if args.out == "BENCH_serve.json" {
-            "BENCH_openloop.json".to_string()
-        } else {
-            args.out.clone()
-        };
         checks.push(experiments::serve_openloop(
             w,
+            args.scale,
             &params,
             workers,
-            Some(std::path::Path::new(&out)),
+            Some(&out("BENCH_openloop.json")),
         ));
     }
     if args.experiment == "serve-sharded" {
@@ -243,17 +242,13 @@ fn main() -> ExitCode {
         let workers = args
             .workers
             .unwrap_or_else(|| bionav_bench::default_workers(w.queries.len() * args.rounds));
-        let out = if args.out == "BENCH_serve.json" {
-            "BENCH_sharded.json".to_string()
-        } else {
-            args.out.clone()
-        };
         checks.push(experiments::serve_sharded(
             w,
+            args.scale,
             &params,
             workers,
             args.rounds,
-            Some(std::path::Path::new(&out)),
+            Some(&out("BENCH_sharded.json")),
         ));
     }
     if run("ablation-opt") {

@@ -66,11 +66,16 @@ pub fn evaluate_parallel(workload: &Workload, params: &CostParams) -> Vec<QueryE
     .collect()
 }
 
+/// Logical cores of this host (`available_parallelism`; 4 when the
+/// platform cannot tell). Serving reports record it as provenance.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(4, usize::from)
+}
+
 /// Default worker count for bench drivers: the machine's parallelism,
 /// capped by the task count (and at least one).
 pub fn default_workers(tasks: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(4, usize::from);
-    hw.min(tasks).max(1)
+    host_cores().min(tasks).max(1)
 }
 
 #[cfg(test)]

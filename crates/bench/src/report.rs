@@ -94,12 +94,22 @@ impl ShapeCheck {
     }
 }
 
-/// Serializes `value` as pretty JSON into `path`, reporting (not panicking
-/// on) IO errors — bench artifacts are best-effort, shape checks are not.
-pub fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) -> std::io::Result<()> {
-    let json =
-        serde_json::to_string_pretty(value).map_err(|e| std::io::Error::other(e.to_string()))?;
-    std::fs::write(path, json + "\n")
+/// Writes one bench artifact and prints where it went, reporting (not
+/// panicking on) IO errors — bench artifacts are best-effort, shape checks
+/// are not.
+pub fn write_artifact(path: &std::path::Path, contents: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => println!("WARNING: could not write {}: {e}", path.display()),
+    }
+}
+
+/// [`write_artifact`] of `value` as pretty JSON.
+pub fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
+    match serde_json::to_string_pretty(value) {
+        Ok(json) => write_artifact(path, &(json + "\n")),
+        Err(e) => println!("WARNING: could not serialize {}: {e}", path.display()),
+    }
 }
 
 #[cfg(test)]

@@ -740,7 +740,7 @@ impl ServeStats {
     ///
     /// Returns the serializer's error instead of swallowing it: the old
     /// `"{}"` fallback silently handed downstream parsers an empty object,
-    /// which `bench_guard` would then misread as missing gates. A plain
+    /// which they would then misread as missing fields. A plain
     /// data struct cannot actually fail to serialize, so callers may
     /// `expect` — but the taxonomy makes the impossible case loud, not
     /// invisible.

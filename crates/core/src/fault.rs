@@ -14,7 +14,7 @@
 //!    pseudo-random schedule. **Disarmed (the production default), a
 //!    failpoint costs exactly one relaxed atomic load** — the same
 //!    discipline as the [`trace`](crate::trace) span sites, and covered by
-//!    the same `bench_guard` overhead gate.
+//!    the same CI overhead gate (`scripts/perf_gate.sh`).
 //! 2. **Panic isolation** — [`isolate`] is the *only* place in first-party
 //!    code where `catch_unwind` appears (enforced by the `no-catch-unwind`
 //!    lint rule). The worker pool and the engine's EXPAND path run

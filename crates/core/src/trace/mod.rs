@@ -280,7 +280,8 @@ struct SpanState {
 ///
 /// Fast path when tracing is off and no capture is active: one relaxed
 /// atomic load plus one thread-local read, no clock access — this is the
-/// overhead bounded by the `bench_guard` tracing-off gate.
+/// cost that CI's tracing-overhead gate (`scripts/perf_gate.sh`, on
+/// navbench's `trace.overhead_frac`) bounds from above.
 #[cfg(not(interleave))]
 pub fn span(stage: Stage) -> SpanGuard {
     // Ordering: Relaxed — the toggle is advisory (see `set_enabled`); this

@@ -16,13 +16,18 @@
 //! 3. full-expansion [`Session`] replays on a lazy tree produce the same
 //!    action log and the same [`NavOutcome`] totals as on an eager tree —
 //!    per-query navigation costs are bit-identical, the ISSUE 6
-//!    acceptance bar.
+//!    acceptance bar;
+//! 4. the serving path keeps the laziness: a cold [`Engine::open_session`]
+//!    hands the session a tree with nothing materialized, and only the
+//!    first EXPAND pays for payloads.
 
 use std::collections::BTreeSet;
 
+use std::sync::Arc;
+
 use bionav_core::session::Session;
 use bionav_core::sim::NavOutcome;
-use bionav_core::{CostParams, NavNodeId, NavigationTree};
+use bionav_core::{CostParams, Engine, NavNodeId, NavigationTree};
 use bionav_medline::{Citation, CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
 use proptest::prelude::*;
@@ -254,6 +259,59 @@ proptest! {
             prop_assert_eq!(&lazy_log, &eager_log, "action logs diverge at k={}", k);
             prop_assert_eq!(&lazy_cost, &eager_cost, "cost totals diverge at k={}", k);
         }
+    }
+}
+
+/// Property 4 on fixed shapes: opening a session cold (tree-cache miss)
+/// through the engine builds the skeleton only — the opened tree reads
+/// `materialized_subtrees() == 0` — and the first EXPAND of the root is
+/// what materializes subtree payloads. Guards the cold-open path against a
+/// regression to the eager build anywhere between the builder and the
+/// parked session.
+#[test]
+fn cold_engine_open_stays_lazy_until_the_first_expand() {
+    let specs = [
+        TreeSpec {
+            parents: vec![0, 0, 0, 1, 2, 3, 4, 5, 6],
+            cites: vec![0, 3, 2, 4, 1, 2, 1, 3, 2, 1],
+        },
+        TreeSpec {
+            parents: (0..30).map(|i| i / 3).collect(),
+            cites: (0..31).map(|i| (i * 7 % 5) as u32).collect(),
+        },
+        TreeSpec {
+            parents: vec![0; 12],
+            cites: vec![0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3],
+        },
+    ];
+    for spec in &specs {
+        let (h, store, results) = build_inputs(spec);
+        let engine = Engine::new(
+            move |_query: &str| Some(Arc::new(NavigationTree::build(&h, &store, &results))),
+            CostParams::default(),
+            4,
+        );
+        let id = engine.open_session("q").expect("cold open");
+        assert_eq!(engine.stats().cache_misses, 1, "the open built the tree");
+        let (materialized, subtrees) = engine
+            .with_session(id, |s| {
+                (s.nav().materialized_subtrees(), s.nav().lazy_subtrees())
+            })
+            .expect("session parked");
+        assert!(
+            subtrees >= 2,
+            "fixture must have several top-level subtrees ({subtrees})"
+        );
+        assert_eq!(materialized, 0, "cold open must not materialize payloads");
+
+        engine
+            .expand(id, NavNodeId::ROOT)
+            .expect("root component expands");
+        let materialized = engine
+            .with_session(id, |s| s.nav().materialized_subtrees())
+            .expect("session parked");
+        assert!(materialized > 0, "the first EXPAND materializes subtrees");
+        engine.close_session(id).expect("close");
     }
 }
 

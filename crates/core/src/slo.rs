@@ -18,10 +18,13 @@
 //!   histogram snapshot directly. Slow-burn signal.
 //! * `"recent"` — a rotating baseline window ([`Slo::window_ns`], default
 //!   60 s): [`SloState`] remembers the `(good, total)` counts at the last
-//!   rotation and reports the burn over the delta since. Fast-burn
-//!   signal; page-worthy when `total` is also significant.
+//!   rotation and reports the delta since. Fast-burn signal; page-worthy
+//!   when `total` is also significant.
 //!
-//! Exported as `bionav_slo_burn_rate{verb,window}` gauges and surfaced in
+//! A telemetry [`Snapshot`](crate::telemetry::Snapshot) carries the raw
+//! `(good, total)` counts, so a sharded tier's merged burn is computed
+//! from summed counts, never averaged. Exported as
+//! `bionav_slo_burn_rate{verb,window}` gauges and surfaced in
 //! `serve-stats`. The `cargo xtask analyze` coverage matrix fails CI when
 //! a verb in [`SloVerb::ALL`] is missing from the exporter or the tests.
 
@@ -110,8 +113,7 @@ pub const WINDOW_TOTAL: &str = "total";
 pub const WINDOW_RECENT: &str = "recent";
 
 /// One reported burn-rate row (JSON in `ServeStats`, one Prometheus
-/// series). Carries the raw `(good, total)` counts so shard merges can
-/// recompute the rate exactly instead of averaging rates.
+/// series), with the raw `(good, total)` counts its rate derives from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloBurn {
     /// Verb label ([`SloVerb::name`]).
@@ -153,15 +155,16 @@ impl SloState {
         }
     }
 
-    /// Compute both windows' burn rows for `verb` from the live cumulative
-    /// histogram snapshot, rotating the recent baseline if its window has
-    /// elapsed at `now_ns` (trace-epoch nanoseconds).
-    pub fn burns(&self, verb: SloVerb, snap: &HistogramSnapshot, now_ns: u64) -> Vec<SloBurn> {
+    /// The `[total, recent]` windows' `(good, total)` counts for `verb`
+    /// from the live cumulative histogram snapshot, rotating the recent
+    /// baseline if its window has elapsed at `now_ns` (trace-epoch
+    /// nanoseconds). Burn rates derive from these counts in
+    /// [`crate::telemetry::Snapshot::slo_burn`].
+    pub fn observe(&self, verb: SloVerb, snap: &HistogramSnapshot, now_ns: u64) -> [(u64, u64); 2] {
         let slo = slo_for(verb);
         let idx = verb as usize;
         let good = snap.count_at_or_below(slo.target_p99_ns);
         let total = snap.total();
-        let target_p99_ms = slo.target_p99_ns as f64 / 1_000_000.0;
 
         // Ordering: Relaxed throughout — the baselines are advisory
         // telemetry; a racing rotation can only shift a window edge by one
@@ -176,25 +179,7 @@ impl SloState {
         // Ordering: Relaxed — deltas against the same advisory baselines.
         let recent_good = good.saturating_sub(self.base_good[idx].load(Ordering::Relaxed));
         let recent_total = total.saturating_sub(self.base_total[idx].load(Ordering::Relaxed));
-
-        vec![
-            SloBurn {
-                verb: verb.name().to_string(),
-                window: WINDOW_TOTAL.to_string(),
-                burn_rate: burn_rate(good, total),
-                target_p99_ms,
-                good,
-                total,
-            },
-            SloBurn {
-                verb: verb.name().to_string(),
-                window: WINDOW_RECENT.to_string(),
-                burn_rate: burn_rate(recent_good, recent_total),
-                target_p99_ms,
-                good: recent_good,
-                total: recent_total,
-            },
-        ]
+        [(good, total), (recent_good, recent_total)]
     }
 
     /// Forget every baseline (the histograms were reset underneath us).
@@ -206,36 +191,6 @@ impl SloState {
             self.rotated_ns[i].store(0, Ordering::Relaxed);
         }
     }
-}
-
-/// Merge burn rows from several shards: rows sharing `(verb, window)` sum
-/// their raw counts and the rate is recomputed — never averaged.
-pub fn merge_burns(per_shard: &[Vec<SloBurn>]) -> Vec<SloBurn> {
-    let mut merged: Vec<SloBurn> = Vec::new();
-    for row in per_shard.iter().flatten() {
-        if let Some(m) = merged
-            .iter_mut()
-            .find(|m| m.verb == row.verb && m.window == row.window)
-        {
-            m.good += row.good;
-            m.total += row.total;
-        } else {
-            merged.push(row.clone());
-        }
-    }
-    for m in &mut merged {
-        m.burn_rate = burn_rate(m.good, m.total);
-    }
-    // Stable report order: SLOS order, total before recent.
-    merged.sort_by_key(|m| {
-        let verb = SloVerb::ALL
-            .iter()
-            .position(|v| v.name() == m.verb)
-            .unwrap_or(SloVerb::COUNT);
-        let window = usize::from(m.window != WINDOW_TOTAL);
-        verb * 2 + window
-    });
-    merged
 }
 
 #[cfg(test)]
@@ -278,74 +233,32 @@ mod tests {
         }
         hist.record(target.saturating_mul(4)); // one breach
         let t0 = 1_000;
-        let rows = state.burns(SloVerb::Expand, &hist.snapshot(), t0);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].window, WINDOW_TOTAL);
-        assert_eq!(rows[0].total, 10);
-        assert_eq!(rows[0].good, 9);
+        let [total, recent] = state.observe(SloVerb::Expand, &hist.snapshot(), t0);
+        assert_eq!(total, (9, 10));
         assert!(
-            (rows[0].burn_rate - 10.0).abs() < 1e-9,
+            (burn_rate(total.0, total.1) - 10.0).abs() < 1e-9,
             "10% bad / 1% budget"
         );
         // The first observation rotates the recent baseline to "now", so
         // the recent window is empty until more samples arrive.
-        assert_eq!(rows[1].window, WINDOW_RECENT);
-        assert_eq!(rows[1].total, 0);
-        assert_eq!(rows[1].burn_rate, 0.0);
+        assert_eq!(recent, (0, 0));
+        assert_eq!(burn_rate(recent.0, recent.1), 0.0);
 
         // Within the window: recent = delta since rotation.
         for _ in 0..5 {
             hist.record(target / 2);
         }
-        let rows = state.burns(SloVerb::Expand, &hist.snapshot(), t0 + window / 2);
-        assert_eq!(rows[0].total, 15);
-        assert_eq!(rows[1].total, 5);
-        assert_eq!(rows[1].good, 5);
-        assert_eq!(rows[1].burn_rate, 0.0);
+        let [total, recent] = state.observe(SloVerb::Expand, &hist.snapshot(), t0 + window / 2);
+        assert_eq!(total.1, 15);
+        assert_eq!(recent, (5, 5));
 
         // After the window elapses the baseline rotates forward.
-        let rows = state.burns(SloVerb::Expand, &hist.snapshot(), t0 + 2 * window);
-        assert_eq!(rows[1].total, 0, "rotation empties the recent window");
+        let [_, recent] = state.observe(SloVerb::Expand, &hist.snapshot(), t0 + 2 * window);
+        assert_eq!(recent.1, 0, "rotation empties the recent window");
 
         state.reset();
-        let rows = state.burns(SloVerb::Expand, &hist.snapshot(), t0 + 3 * window);
-        assert_eq!(rows[0].total, 15, "total window unaffected by reset");
-    }
-
-    #[test]
-    fn merging_sums_counts_and_recomputes_rates() {
-        let row = |verb: &str, window: &str, good: u64, total: u64| SloBurn {
-            verb: verb.to_string(),
-            window: window.to_string(),
-            burn_rate: burn_rate(good, total),
-            target_p99_ms: 25.0,
-            good,
-            total,
-        };
-        let merged = merge_burns(&[
-            vec![
-                row("expand", WINDOW_TOTAL, 90, 100),
-                row("expand", WINDOW_RECENT, 10, 10),
-            ],
-            vec![
-                row("expand", WINDOW_TOTAL, 100, 100),
-                row("expand", WINDOW_RECENT, 0, 0),
-                row("open", WINDOW_TOTAL, 50, 50),
-            ],
-        ]);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].verb, "open");
-        assert_eq!(merged[1].verb, "expand");
-        assert_eq!(merged[1].window, WINDOW_TOTAL);
-        assert_eq!(merged[1].total, 200);
-        assert_eq!(merged[1].good, 190);
-        assert!(
-            (merged[1].burn_rate - 5.0).abs() < 1e-9,
-            "5% bad / 1% budget"
-        );
-        assert_eq!(merged[2].window, WINDOW_RECENT);
-        assert_eq!(merged[2].total, 10);
-        assert_eq!(merged[2].burn_rate, 0.0);
+        let [total, _] = state.observe(SloVerb::Expand, &hist.snapshot(), t0 + 3 * window);
+        assert_eq!(total.1, 15, "total window unaffected by reset");
     }
 
     #[test]

@@ -416,7 +416,8 @@ pub fn take_captured() -> Vec<(Stage, u64, u64)> {
 // ---------------------------------------------------------------------------
 
 /// A keyed family of [`LatencyHistogram`]s plus exact nanosecond sums, one
-/// per [`Stage`]. Owned per [`crate::Engine`], fed by the capture tape.
+/// per [`Stage`]. Part of each engine's [`crate::telemetry::Window`], fed
+/// by the capture tape.
 pub struct StageMetrics {
     hists: Vec<LatencyHistogram>,
     sums: Vec<crate::sync::AtomicU64>,
@@ -447,42 +448,14 @@ impl StageMetrics {
         self.sums[stage as usize].fetch_add(ns, crate::sync::Ordering::Relaxed);
     }
 
-    /// Samples recorded for `stage`.
-    pub fn count(&self, stage: Stage) -> u64 {
-        self.hists[stage as usize].count()
-    }
-
-    /// Exact nanosecond sum recorded for `stage`.
-    pub fn sum_ns(&self, stage: Stage) -> u64 {
-        // Ordering: Relaxed — see `record`.
-        self.sums[stage as usize].load(crate::sync::Ordering::Relaxed)
-    }
-
-    /// Histogram snapshot for `stage` (for exporters).
-    pub fn snapshot(&self, stage: Stage) -> crate::telemetry::HistogramSnapshot {
-        self.hists[stage as usize].snapshot()
-    }
-
-    /// Human/JSON-facing per-stage statistics, restricted to stages that
-    /// actually recorded samples, in [`Stage::ALL`] order.
-    pub fn stats(&self) -> Vec<StageStat> {
-        Stage::ALL
+    /// Every stage's `(latency snapshot, exact sum in ns)`, in
+    /// [`Stage::ALL`] order, idle stages included.
+    pub fn snapshots(&self) -> Vec<(crate::telemetry::HistogramSnapshot, u64)> {
+        self.hists
             .iter()
-            .filter_map(|&stage| {
-                let snap = self.hists[stage as usize].snapshot();
-                let count = snap.total();
-                if count == 0 {
-                    return None;
-                }
-                Some(StageStat {
-                    stage: stage.name().to_string(),
-                    count,
-                    p50_us: snap.percentile(0.50) as f64 / 1_000.0,
-                    p95_us: snap.percentile(0.95) as f64 / 1_000.0,
-                    p99_us: snap.percentile(0.99) as f64 / 1_000.0,
-                    total_ms: self.sum_ns(stage) as f64 / 1_000_000.0,
-                })
-            })
+            .zip(&self.sums)
+            // Ordering: Relaxed — see `record`.
+            .map(|(hist, sum)| (hist.snapshot(), sum.load(crate::sync::Ordering::Relaxed)))
             .collect()
     }
 
@@ -499,7 +472,7 @@ impl StageMetrics {
 }
 
 /// One row of the per-stage latency breakdown reported by
-/// [`crate::ServeStats`].
+/// [`crate::ServeStats`], derived by [`crate::telemetry::Snapshot::stats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageStat {
     /// Stage name ([`Stage::name`]).
@@ -643,18 +616,17 @@ mod tests {
         m.record(Stage::Solve, 5_000);
         m.record(Stage::Solve, 7_000);
         m.record(Stage::Partition, 1_000);
-        assert_eq!(m.count(Stage::Solve), 2);
-        assert_eq!(m.sum_ns(Stage::Solve), 12_000);
-        let stats = m.stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].stage, "partition");
-        assert_eq!(stats[1].stage, "solve");
-        assert_eq!(stats[1].count, 2);
-        assert!(stats[1].total_ms > 0.0);
+        let snaps = m.snapshots();
+        assert_eq!(snaps.len(), Stage::COUNT);
+        assert_eq!(snaps[Stage::Solve as usize].0.total(), 2);
+        assert_eq!(snaps[Stage::Solve as usize].1, 12_000);
+        assert_eq!(snaps[Stage::Partition as usize].1, 1_000);
+        assert!(snaps[Stage::Expand as usize].0.is_empty());
         m.reset();
-        assert_eq!(m.count(Stage::Solve), 0);
-        assert_eq!(m.sum_ns(Stage::Solve), 0);
-        assert!(m.stats().is_empty());
+        assert!(m
+            .snapshots()
+            .iter()
+            .all(|(s, sum)| s.is_empty() && *sum == 0));
     }
 
     #[test]

@@ -1913,7 +1913,7 @@ pub fn serve_openloop(
     );
     check.assert(
         format!(
-            "adaptive gate holds served p99 inside the SLO at 1.5× the knee ({} µs ≤ {:.0} µs @ {:.0}/s)",
+            "the overload plane as a whole (AIMD gate + deadline rejects) holds served p99 inside the SLO at 1.5× the knee ({} µs ≤ {:.0} µs @ {:.0}/s)",
             adaptive_row.served_p99_us, slo_target_us, adaptive_rate
         ),
         (adaptive_row.served_p99_us as f64) <= slo_target_us,

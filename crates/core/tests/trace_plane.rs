@@ -7,7 +7,9 @@
 //! * Prometheus exposition shape (`# TYPE` lines, cumulative buckets),
 //! * the exposition text and `ServeStats` JSON key order, pinned by a
 //!   golden file (`tests/golden/exposition.prom`),
-//! * Chrome trace JSON shape.
+//! * Chrome trace JSON shape,
+//! * the Chrome trace and flight-recorder JSON of two fixed, wrapped local
+//!   rings, pinned by a golden file (`tests/golden/ring_exports.txt`).
 //!
 //! Tests that flip the process-global trace toggle or clear the global
 //! ring serialize behind `TRACE_LOCK`.
@@ -654,4 +656,108 @@ fn disabled_tracing_emits_no_ring_events_from_the_serve_path() {
     );
     // …while the per-stage metrics (capture tape) still work.
     assert!(!engine.stats().stages.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden ring exports: fixed pushes, byte-exact Chrome trace + flight JSON
+// ---------------------------------------------------------------------------
+
+/// The committed exports for [`golden_ring_exports`]'s fixed inputs: the
+/// Chrome trace JSON on the first line, the flight-recorder JSON on the
+/// second.
+const GOLDEN_RING_EXPORTS: &str = include_str!("golden/ring_exports.txt");
+
+/// A local span ring and a local flight ring, both wrapped, rendered by
+/// the two JSON exporters. Touches no process-global state.
+fn golden_ring_exports() -> String {
+    use bionav_core::fault::FailSite;
+    use bionav_core::trace::export::chrome_trace;
+    use bionav_core::trace::flightrec::{
+        entries_json, FlightRing, RawSummary, Verb, RUNG_MYOPIC, RUNG_STATIC, SHED_BREAKER,
+        SHED_DEADLINE,
+    };
+    use bionav_core::trace::{SpanKind, SpanRing};
+
+    // 8 pushes into 4 slots: seqs 4..=7 survive. The survivors open with
+    // an End whose Begin was overwritten (the exporter drops it), span two
+    // threads, and include a stage index past `Stage::ALL`.
+    let spans = SpanRing::new(4);
+    let pushes: [(u8, SpanKind, u16, u64, u64); 8] = [
+        (Stage::Expand as u8, SpanKind::Begin, 1, 1_000, 11),
+        (Stage::Partition as u8, SpanKind::Begin, 1, 1_500, 11),
+        (Stage::Partition as u8, SpanKind::End, 1, 2_750, 11),
+        (Stage::Solve as u8, SpanKind::Begin, 2, 3_001, 0),
+        (Stage::Solve as u8, SpanKind::End, 2, 4_999, 0),
+        (Stage::ApplyCut as u8, SpanKind::Begin, 1, 5_250, 11),
+        (200, SpanKind::Begin, 65_535, 6_000, u64::MAX),
+        (Stage::ApplyCut as u8, SpanKind::End, 1, 7_125, 11),
+    ];
+    for (stage, kind, tid, ns, rid) in pushes {
+        spans.push(stage, kind, tid, ns, rid);
+    }
+
+    // 3 pushes into 2 slots: the first is overwritten. The survivors set
+    // every summary field between them, including a stage past
+    // `u32::MAX` microseconds (saturates) and the last, unpaired stage.
+    let flights = FlightRing::new(2);
+    let mut stage_ns = [0u64; Stage::COUNT];
+    stage_ns[Stage::Solve as usize] = 900_999;
+    let mut summary = RawSummary {
+        rid: 1,
+        verb: Verb::Open as u8,
+        shard_p1: 0,
+        cache: 1,
+        rung: 0,
+        shed: 0,
+        error: 0,
+        fault: 0,
+        total_ns: 5_000,
+        stage_ns,
+    };
+    flights.push(&summary);
+    summary.rid = 0xDEAD_BEEF;
+    summary.verb = Verb::Expand as u8;
+    summary.shard_p1 = 3;
+    summary.cache = 2;
+    summary.rung = RUNG_STATIC;
+    summary.shed = SHED_DEADLINE;
+    summary.error = 2;
+    summary.fault = FailSite::CutCacheProbe as u8 + 1;
+    summary.total_ns = 1_234_567;
+    summary.stage_ns[Stage::Partition as usize] = 300_500;
+    summary.stage_ns[Stage::Materialize as usize] = (u64::from(u32::MAX) + 7) * 1_000;
+    summary.stage_ns[Stage::OpenSessionCold as usize] = 42_000;
+    flights.push(&summary);
+    flights.push(&RawSummary {
+        rid: u64::MAX,
+        verb: Verb::Replay as u8,
+        shard_p1: u16::MAX,
+        cache: 0,
+        rung: RUNG_MYOPIC,
+        shed: SHED_BREAKER,
+        error: 1,
+        fault: FailSite::TreeMaterialize as u8 + 1,
+        total_ns: 999,
+        stage_ns: [1_000; Stage::COUNT],
+    });
+
+    format!(
+        "{}\n{}\n",
+        chrome_trace(&spans.snapshot()),
+        entries_json(&flights.snapshot())
+    )
+}
+
+#[test]
+fn ring_exports_match_the_golden_file() {
+    let text = golden_ring_exports();
+    let drift = text
+        .lines()
+        .zip(GOLDEN_RING_EXPORTS.lines())
+        .position(|(got, want)| got != want);
+    assert_eq!(
+        (drift, text.len()),
+        (None, GOLDEN_RING_EXPORTS.len()),
+        "ring exports drifted from tests/golden/ring_exports.txt (first differing line index)\n{text}"
+    );
 }

@@ -9,28 +9,28 @@
 //!    column, the degradation ladder reads [`current_deadline_ns`], and
 //!    the engine/fault plane deposit outcome notes ([`note_cache`],
 //!    [`note_rung`], [`note_error`], [`note_fault`], [`note_stage`]).
-//! 2. **The flight ring** — a fixed-memory seqlock ring ([`FlightRing`])
-//!    of the last N *completed* request summaries. Each slot packs the
-//!    request id, verb, shard, cache/degrade/error/fault outcome, total
-//!    latency, and a per-[`Stage`] microsecond breakdown into
-//!    `4 + STAGE_WORDS` `u64` atomics — no allocation after construction,
-//!    the same footprint discipline as [`super::ring::SpanRing`].
+//! 2. **The flight ring** — a fixed-memory ring ([`FlightRing`]) of the
+//!    last N *completed* request summaries: a codec over the same
+//!    seqlock slot protocol as [`super::ring::SpanRing`]. Each slot
+//!    packs the request id, verb, shard, cache/degrade/error/fault outcome,
+//!    total latency, and a per-[`Stage`] microsecond breakdown into
+//!    `4 + STAGE_WORDS` `u64` atomics (stamp included) — no allocation
+//!    after construction.
 //!
 //! The recorder dumps automatically (once per reason per telemetry
 //! window) when a session is quarantined after a panic or an EXPAND is
 //! shed, and on demand via the `Request::Debug` wire verb and the REPL
 //! `flightrec` command ([`flightrec_json`]).
 //!
-//! Under `--cfg interleave` the ambient scope plumbing compiles to no-ops
-//! (like [`super::span`]); the [`FlightRing`] slot protocol itself is
+//! Under `--cfg interleave` only the process-global ring is compiled out
+//! (`global_flight`): scopes, ids and notes are plain thread-local code
+//! and behave the same in both builds, while the [`FlightRing`] codec is
 //! explored by a dedicated model over a local ring in
 //! `tests/interleave_models.rs`.
 
-use crate::sync::{AtomicU64, Ordering};
+use super::ring::{SeqRing, SeqTag};
 use crate::trace::Stage;
 use serde::{Deserialize, Serialize};
-
-#[cfg(not(interleave))]
 use std::cell::RefCell;
 #[cfg(not(interleave))]
 use std::sync::OnceLock;
@@ -182,7 +182,14 @@ pub const STAGE_WORDS: usize = Stage::COUNT.div_ceil(2);
 /// × 8 bytes = 24 KiB, fixed at first use.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
-/// Bit layout of a slot's packed `meta` word:
+/// Flight payload words, in store order: `[rid, meta, total_ns, stage
+/// words…]`; with the stamp, `4 + STAGE_WORDS` atomics per slot.
+const FLIGHT_WORDS: usize = 3 + STAGE_WORDS;
+/// The flight codec's lap-check tag: the low 16 sequence bits, at the top
+/// of `meta`.
+const FLIGHT_TAG: SeqTag = SeqTag { word: 1, bits: 16 };
+
+/// Bit layout of the packed `meta` word:
 /// `verb | shard+1 << 8 | cache << 24 | rung << 26 | shed << 28 |
 ///  error << 32 | fault << 40 | seq low 16 << 48`.
 const SHARD_SHIFT: u32 = 8;
@@ -191,11 +198,10 @@ const RUNG_SHIFT: u32 = 26;
 const SHED_SHIFT: u32 = 28;
 const ERROR_SHIFT: u32 = 32;
 const FAULT_SHIFT: u32 = 40;
-const SEQ_SHIFT: u32 = 48;
 
 /// The raw, un-decoded summary of one completed request — what a scope
 /// owner deposits into the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RawSummary {
     /// The request id.
     pub rid: u64,
@@ -221,15 +227,25 @@ pub struct RawSummary {
 }
 
 impl RawSummary {
-    fn pack_meta(&self, seq: u64) -> u64 {
-        u64::from(self.verb)
+    /// The flight codec's encoder: this summary as the payload words of
+    /// sequence number `seq`.
+    fn words(&self, seq: u64) -> [u64; FLIGHT_WORDS] {
+        let mut words = [0; FLIGHT_WORDS];
+        words[0] = self.rid;
+        words[1] = u64::from(self.verb)
             | (u64::from(self.shard_p1) << SHARD_SHIFT)
             | (u64::from(self.cache & 0b11) << CACHE_SHIFT)
             | (u64::from(self.rung & 0b11) << RUNG_SHIFT)
             | (u64::from(self.shed & 0b11) << SHED_SHIFT)
             | (u64::from(self.error) << ERROR_SHIFT)
             | (u64::from(self.fault) << FAULT_SHIFT)
-            | ((seq & 0xffff) << SEQ_SHIFT)
+            | FLIGHT_TAG.embed(seq);
+        words[2] = self.total_ns;
+        let us = |ns: u64| (ns / 1_000).min(u64::from(u32::MAX));
+        for (word, pair) in words[3..].iter_mut().zip(self.stage_ns.chunks(2)) {
+            *word = us(pair[0]) | pair.get(1).map_or(0, |&hi| us(hi) << 32);
+        }
+        words
     }
 }
 
@@ -262,6 +278,36 @@ pub struct FlightEntry {
 }
 
 impl FlightEntry {
+    /// The flight codec's decoder; `None` for an unknown verb.
+    fn decode(seq: u64, words: [u64; FLIGHT_WORDS]) -> Option<FlightEntry> {
+        let [request_id, meta, total_ns, stages @ ..] = words;
+        let mut stage_us = [0u32; Stage::COUNT];
+        for (pair, word) in stage_us.chunks_mut(2).zip(stages) {
+            pair[0] = word as u32;
+            if let Some(hi) = pair.get_mut(1) {
+                *hi = (word >> 32) as u32;
+            }
+        }
+        let shard_p1 = (meta >> SHARD_SHIFT) as u16;
+        Some(FlightEntry {
+            seq,
+            request_id,
+            verb: Verb::from_index(meta as u8)?,
+            shard: (shard_p1 != 0).then(|| shard_p1 - 1),
+            cache_hit: match (meta >> CACHE_SHIFT) & 0b11 {
+                1 => Some(true),
+                2 => Some(false),
+                _ => None,
+            },
+            rung: ((meta >> RUNG_SHIFT) & 0b11) as u8,
+            shed: ((meta >> SHED_SHIFT) & 0b11) as u8,
+            error: (meta >> ERROR_SHIFT) as u8,
+            fault: (meta >> FAULT_SHIFT) as u8,
+            total_ns,
+            stage_us,
+        })
+    }
+
     /// `"myopic"` / `"static"` / `""`.
     pub fn rung_name(&self) -> &'static str {
         rung_name(self.rung)
@@ -283,165 +329,49 @@ impl FlightEntry {
     }
 }
 
-/// One flight-ring slot: a per-slot seqlock over `4 + STAGE_WORDS`
-/// atomics, same protocol as [`super::ring::SpanRing`] (invalidate, data
-/// stores, validate; readers double-check the stamp and the embedded
-/// low-16 sequence bits).
-struct FlightSlot {
-    /// `0` = invalid / mid-write; otherwise `seq + 1`.
-    stamp: AtomicU64,
-    /// The request id.
-    rid: AtomicU64,
-    /// Packed verb/shard/cache/rung/error/fault/seq-low word.
-    meta: AtomicU64,
-    /// End-to-end nanoseconds.
-    total_ns: AtomicU64,
-    /// Stage microseconds, two per word.
-    stages: [AtomicU64; STAGE_WORDS],
-}
-
-impl FlightSlot {
-    fn empty() -> Self {
-        FlightSlot {
-            stamp: AtomicU64::new(0),
-            rid: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            stages: [(); STAGE_WORDS].map(|()| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Fixed-memory lock-free ring of completed-request summaries.
+/// Fixed-memory lock-free ring of completed-request summaries: the flight
+/// codec over the crate's one seqlock ring (slot protocol in
+/// [`super::ring`]).
 pub struct FlightRing {
-    slots: Box<[FlightSlot]>,
-    mask: u64,
-    head: AtomicU64,
+    ring: SeqRing<FLIGHT_WORDS>,
 }
 
 impl FlightRing {
     /// Create a ring with `capacity` slots, rounded up to a power of two
     /// (minimum 2). All memory is allocated here; `push` never allocates.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<FlightSlot> = (0..cap).map(|_| FlightSlot::empty()).collect();
         FlightRing {
-            slots: slots.into_boxed_slice(),
-            mask: (cap as u64) - 1,
-            head: AtomicU64::new(0),
+            ring: SeqRing::new(capacity, FLIGHT_TAG),
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
-    /// Monotone count of summaries ever pushed (survives wraps).
+    /// Monotone count of summaries ever pushed (survives wraps and
+    /// [`clear`](FlightRing::clear)).
     pub fn pushed(&self) -> u64 {
-        // Ordering: Relaxed — a monotone statistic read for reporting; no
-        // other memory depends on its value.
-        self.head.load(Ordering::Relaxed)
+        self.ring.pushed()
     }
 
-    /// Record one completed request. Wait-free: one `fetch_add` plus a
-    /// bounded store sequence; oldest summaries are overwritten on wrap.
+    /// Record one completed request. Wait-free; the oldest summaries are
+    /// overwritten on wrap.
     pub fn push(&self, s: &RawSummary) {
-        // Ordering: Relaxed — the fetch_add only hands out unique sequence
-        // numbers; publication order is carried by the Release stores.
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        // Ordering: Release — invalidation store; readers seeing stamp == 0
-        // skip the slot while the data stores below land.
-        slot.stamp.store(0, Ordering::Release);
-        // Ordering: Release on every data store — all must be visible
-        // before the validating stamp store below is observed.
-        slot.rid.store(s.rid, Ordering::Release);
-        slot.meta.store(s.pack_meta(seq), Ordering::Release);
-        slot.total_ns.store(s.total_ns, Ordering::Release);
-        for (w, word) in slot.stages.iter().enumerate() {
-            let lo = s.stage_ns[2 * w] / 1_000;
-            let hi = s.stage_ns.get(2 * w + 1).copied().unwrap_or(0) / 1_000;
-            let packed = lo.min(u64::from(u32::MAX)) | (hi.min(u64::from(u32::MAX)) << 32);
-            // Ordering: Release — data store, same contract as above.
-            word.store(packed, Ordering::Release);
-        }
-        // Ordering: Release — publishes the slot; a reader that acquires
-        // this stamp value observes every data store above.
-        slot.stamp.store(seq + 1, Ordering::Release);
+        self.ring.push(|seq| s.words(seq));
     }
 
-    /// Snapshot every currently-valid slot, sorted by sequence number.
-    /// Slots mid-rewrite are skipped (seqlock reject), so the snapshot is
-    /// always internally consistent without blocking any writer.
+    /// Snapshot every currently-valid summary, sorted by sequence number.
+    /// Slots mid-rewrite are skipped, never blocking any writer.
     pub fn snapshot(&self) -> Vec<FlightEntry> {
-        let mut entries = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            // Ordering: Acquire — pairs with the writer's validating
-            // Release store; on acceptance the data loads observe the
-            // matching values.
-            let s1 = slot.stamp.load(Ordering::Acquire);
-            if s1 == 0 {
-                continue;
-            }
-            // Ordering: Acquire on the data loads keeps them ordered
-            // before the re-validating stamp load below.
-            let rid = slot.rid.load(Ordering::Acquire);
-            let meta = slot.meta.load(Ordering::Acquire);
-            let total_ns = slot.total_ns.load(Ordering::Acquire);
-            let mut stage_us = [0u32; Stage::COUNT];
-            for (w, word) in slot.stages.iter().enumerate() {
-                // Ordering: Acquire — data load, same contract as above.
-                let packed = word.load(Ordering::Acquire);
-                stage_us[2 * w] = packed as u32;
-                if 2 * w + 1 < Stage::COUNT {
-                    stage_us[2 * w + 1] = (packed >> 32) as u32;
-                }
-            }
-            // Ordering: Acquire — the second stamp read must not be
-            // hoisted above the data loads.
-            let s2 = slot.stamp.load(Ordering::Acquire);
-            if s1 != s2 {
-                continue; // a writer raced us; drop the slot
-            }
-            let seq = s1 - 1;
-            if (seq & 0xffff) != (meta >> SEQ_SHIFT) & 0xffff {
-                continue; // two writers lapped the slot between our loads
-            }
-            let Some(verb) = Verb::from_index((meta & 0xff) as u8) else {
-                continue;
-            };
-            let shard_p1 = ((meta >> SHARD_SHIFT) & 0xffff) as u16;
-            let cache = ((meta >> CACHE_SHIFT) & 0b11) as u8;
-            entries.push(FlightEntry {
-                seq,
-                request_id: rid,
-                verb,
-                shard: (shard_p1 != 0).then(|| shard_p1 - 1),
-                cache_hit: match cache {
-                    1 => Some(true),
-                    2 => Some(false),
-                    _ => None,
-                },
-                rung: ((meta >> RUNG_SHIFT) & 0b11) as u8,
-                shed: ((meta >> SHED_SHIFT) & 0b11) as u8,
-                error: ((meta >> ERROR_SHIFT) & 0xff) as u8,
-                fault: ((meta >> FAULT_SHIFT) & 0xff) as u8,
-                total_ns,
-                stage_us,
-            });
-        }
-        entries.sort_by_key(|e| e.seq);
-        entries
+        self.ring.snapshot(FlightEntry::decode)
     }
 
-    /// Invalidate every slot without resetting the monotone push counter.
+    /// Invalidate every summary without resetting the monotone push
+    /// counter.
     pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            // Ordering: Release — readers merely skip zero stamps; same
-            // benign mid-push window as `SpanRing::clear`.
-            slot.stamp.store(0, Ordering::Release);
-        }
+        self.ring.clear();
     }
 }
 
@@ -530,77 +460,47 @@ pub fn entries_json(entries: &[FlightEntry]) -> String {
 // The ambient request scope (process-global ring + thread-local pending)
 // ---------------------------------------------------------------------------
 
-// The scope plumbing uses plain std primitives (not the interleave shim),
-// like the span plumbing in `super`: under `--cfg interleave` it compiles
-// to no-ops so engine models keep their schedule space, and the ring's
-// own protocol is explored by a dedicated model over a local `FlightRing`.
-
+/// The process-global flight ring, or `None` under `--cfg interleave`:
+/// its slots are modeled atomics, and pushing to them from the engine
+/// models would add yield points to every schedule. The scope, ids and
+/// notes touch no modeled primitive and compile the same in both builds.
 #[cfg(not(interleave))]
-static FLIGHT: OnceLock<FlightRing> = OnceLock::new();
+fn global_flight() -> Option<&'static FlightRing> {
+    static FLIGHT: OnceLock<FlightRing> = OnceLock::new();
+    Some(FLIGHT.get_or_init(|| FlightRing::new(DEFAULT_FLIGHT_CAPACITY)))
+}
 
-#[cfg(not(interleave))]
-fn global_flight() -> &'static FlightRing {
-    FLIGHT.get_or_init(|| FlightRing::new(DEFAULT_FLIGHT_CAPACITY))
+/// See the non-interleave [`global_flight`].
+#[cfg(interleave)]
+fn global_flight() -> Option<&'static FlightRing> {
+    None
 }
 
 /// Source of server-minted request ids (when no client-supplied id is in
 /// play). Plain std atomic — advisory id allocation, never synchronization.
-#[cfg(not(interleave))]
 static NEXT_RID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// Mint a fresh process-unique request id.
-#[cfg(not(interleave))]
 pub fn mint_request_id() -> u64 {
     // Ordering: Relaxed — only uniqueness matters; nothing is published
     // through the counter.
     NEXT_RID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Interleave stub of [`mint_request_id`] (the plane is compiled out).
-#[cfg(interleave)]
-pub fn mint_request_id() -> u64 {
-    0
-}
-
-#[cfg(not(interleave))]
-#[derive(Clone, Copy)]
+/// The request scope open on this thread: its deadline, start time, and
+/// the summary the owning guard pushes on close. Outside a scope it is the
+/// default, so every field reads zero.
+#[derive(Clone, Copy, Default)]
 struct Pending {
     active: bool,
-    rid: u64,
-    verb: u8,
     deadline_ns: u64,
     t0: u64,
-    shard_p1: u16,
-    cache: u8,
-    rung: u8,
-    shed: u8,
-    error: u8,
-    fault: u8,
-    stage_ns: [u64; Stage::COUNT],
+    summary: RawSummary,
 }
 
-#[cfg(not(interleave))]
-impl Pending {
-    const IDLE: Pending = Pending {
-        active: false,
-        rid: 0,
-        verb: 0,
-        deadline_ns: 0,
-        t0: 0,
-        shard_p1: 0,
-        cache: 0,
-        rung: 0,
-        shed: 0,
-        error: 0,
-        fault: 0,
-        stage_ns: [0; Stage::COUNT],
-    };
-}
-
-#[cfg(not(interleave))]
 thread_local! {
     /// The in-flight request summary being assembled on this thread.
-    static PENDING: RefCell<Pending> = const { RefCell::new(Pending::IDLE) };
+    static PENDING: RefCell<Pending> = RefCell::default();
 }
 
 /// RAII guard for one request scope; the *owning* guard (the one that
@@ -615,7 +515,6 @@ pub struct RequestScope {
 /// Open a request scope with an explicit, front-end-minted context.
 /// If a scope is already open on this thread (defensive — front ends are
 /// the outermost layer), the existing scope wins and the guard is inert.
-#[cfg(not(interleave))]
 pub fn request_scope(ctx: RequestCtx, verb: Verb) -> RequestScope {
     PENDING.with(|p| {
         let mut p = p.borrow_mut();
@@ -624,26 +523,21 @@ pub fn request_scope(ctx: RequestCtx, verb: Verb) -> RequestScope {
         }
         *p = Pending {
             active: true,
-            rid: ctx.request_id,
-            verb: verb as u8,
             deadline_ns: ctx.deadline_ns,
             t0: super::now_ns(),
-            ..Pending::IDLE
+            summary: RawSummary {
+                rid: ctx.request_id,
+                verb: verb as u8,
+                ..RawSummary::default()
+            },
         };
         RequestScope { owner: true }
     })
 }
 
-/// Interleave stub of [`request_scope`].
-#[cfg(interleave)]
-pub fn request_scope(_ctx: RequestCtx, _verb: Verb) -> RequestScope {
-    RequestScope { owner: false }
-}
-
 /// Open a scope for an engine-internal entry point: reuses the already
 /// open scope when the request came through a front end, mints a fresh
 /// request id otherwise (direct API callers, scripts, benches).
-#[cfg(not(interleave))]
 pub fn ensure_scope(verb: Verb) -> RequestScope {
     let already = PENDING.with(|p| p.borrow().active);
     if already {
@@ -653,208 +547,110 @@ pub fn ensure_scope(verb: Verb) -> RequestScope {
     }
 }
 
-/// Interleave stub of [`ensure_scope`].
-#[cfg(interleave)]
-pub fn ensure_scope(_verb: Verb) -> RequestScope {
-    RequestScope { owner: false }
-}
-
 impl Drop for RequestScope {
     fn drop(&mut self) {
         if !self.owner {
             return;
         }
-        #[cfg(not(interleave))]
-        PENDING.with(|p| {
-            let mut p = p.borrow_mut();
-            let total_ns = super::now_ns().saturating_sub(p.t0);
-            let summary = RawSummary {
-                rid: p.rid,
-                verb: p.verb,
-                shard_p1: p.shard_p1,
-                cache: p.cache,
-                rung: p.rung,
-                shed: p.shed,
-                error: p.error,
-                fault: p.fault,
-                total_ns,
-                stage_ns: p.stage_ns,
-            };
-            *p = Pending::IDLE;
-            global_flight().push(&summary);
-        });
+        let p = PENDING.take();
+        if let Some(ring) = global_flight() {
+            ring.push(&RawSummary {
+                total_ns: super::now_ns().saturating_sub(p.t0),
+                ..p.summary
+            });
+        }
     }
 }
 
 /// The request id of the scope open on this thread (0 = none). Span
 /// sites stamp this into the trace ring's `rid` column.
-#[cfg(not(interleave))]
 pub fn current_request_id() -> u64 {
-    PENDING.with(|p| {
-        let p = p.borrow();
-        if p.active {
-            p.rid
-        } else {
-            0
-        }
-    })
-}
-
-/// Interleave stub of [`current_request_id`].
-#[cfg(interleave)]
-pub fn current_request_id() -> u64 {
-    0
+    PENDING.with(|p| p.borrow().summary.rid)
 }
 
 /// The deadline of the scope open on this thread (0 = none/disabled).
-#[cfg(not(interleave))]
 pub fn current_deadline_ns() -> u64 {
-    PENDING.with(|p| {
-        let p = p.borrow();
-        if p.active {
-            p.deadline_ns
-        } else {
-            0
-        }
-    })
+    PENDING.with(|p| p.borrow().deadline_ns)
 }
 
-/// Interleave stub of [`current_deadline_ns`].
-#[cfg(interleave)]
-pub fn current_deadline_ns() -> u64 {
-    0
-}
-
-#[cfg(not(interleave))]
-fn with_active(f: impl FnOnce(&mut Pending)) {
+/// Apply `f` to the open scope's summary; a no-op outside any scope.
+fn with_active(f: impl FnOnce(&mut RawSummary)) {
     PENDING.with(|p| {
         let mut p = p.borrow_mut();
         if p.active {
-            f(&mut p);
+            f(&mut p.summary);
         }
     });
 }
 
 /// Note which shard the current request runs on.
-#[cfg(not(interleave))]
 pub fn note_shard(shard: usize) {
-    with_active(|p| p.shard_p1 = (shard as u16).saturating_add(1));
+    with_active(|s| s.shard_p1 = (shard as u16).saturating_add(1));
 }
-
-/// Interleave stub of [`note_shard`].
-#[cfg(interleave)]
-pub fn note_shard(_shard: usize) {}
 
 /// Note the tree-cache outcome of the current request's open.
-#[cfg(not(interleave))]
 pub fn note_cache(hit: bool) {
-    with_active(|p| p.cache = if hit { 1 } else { 2 });
+    with_active(|s| s.cache = if hit { 1 } else { 2 });
 }
-
-/// Interleave stub of [`note_cache`].
-#[cfg(interleave)]
-pub fn note_cache(_hit: bool) {}
 
 /// Note the degradation rung that answered ([`RUNG_MYOPIC`] /
 /// [`RUNG_STATIC`]).
-#[cfg(not(interleave))]
 pub fn note_rung(rung: u8) {
-    with_active(|p| p.rung = rung);
+    with_active(|s| s.rung = rung);
 }
-
-/// Interleave stub of [`note_rung`].
-#[cfg(interleave)]
-pub fn note_rung(_rung: u8) {}
 
 /// Note the typed shed reason the request is refused with
 /// ([`SHED_QUEUE`] / [`SHED_DEADLINE`] / [`SHED_BREAKER`]).
-#[cfg(not(interleave))]
 pub fn note_shed(code: u8) {
-    with_active(|p| p.shed = code);
+    with_active(|s| s.shed = code);
 }
-
-/// Interleave stub of [`note_shed`].
-#[cfg(interleave)]
-pub fn note_shed(_code: u8) {}
 
 /// Note the typed error the request is about to return (an
 /// [`crate::engine::EngineError`] flight code).
-#[cfg(not(interleave))]
 pub fn note_error(code: u8) {
-    with_active(|p| p.error = code);
+    with_active(|s| s.error = code);
 }
-
-/// Interleave stub of [`note_error`].
-#[cfg(interleave)]
-pub fn note_error(_code: u8) {}
 
 /// Note a fired failpoint (`FailSite as u8 + 1`; called by
 /// [`crate::fault::hit`] itself, so every injected fault is attributed).
-#[cfg(not(interleave))]
 pub fn note_fault(site_p1: u8) {
-    with_active(|p| p.fault = site_p1);
+    with_active(|s| s.fault = site_p1);
 }
-
-/// Interleave stub of [`note_fault`].
-#[cfg(interleave)]
-pub fn note_fault(_site_p1: u8) {}
 
 /// Accumulate one capture-tape interval into the request's per-stage
 /// breakdown (called by `Engine::absorb_tape` alongside the stage
 /// metrics).
-#[cfg(not(interleave))]
 pub fn note_stage(stage: Stage, ns: u64) {
-    with_active(|p| {
-        p.stage_ns[stage as usize] = p.stage_ns[stage as usize].saturating_add(ns);
+    with_active(|s| {
+        s.stage_ns[stage as usize] = s.stage_ns[stage as usize].saturating_add(ns);
     });
 }
-
-/// Interleave stub of [`note_stage`].
-#[cfg(interleave)]
-pub fn note_stage(_stage: Stage, _ns: u64) {}
 
 // ---------------------------------------------------------------------------
 // Snapshots, dumps
 // ---------------------------------------------------------------------------
 
 /// Snapshot the global flight ring (sorted by completion sequence).
-#[cfg(not(interleave))]
 pub fn flight_snapshot() -> Vec<FlightEntry> {
-    global_flight().snapshot()
-}
-
-/// Interleave stub of [`flight_snapshot`].
-#[cfg(interleave)]
-pub fn flight_snapshot() -> Vec<FlightEntry> {
-    Vec::new()
+    global_flight().map_or_else(Vec::new, FlightRing::snapshot)
 }
 
 /// Monotone count of request summaries ever recorded.
-#[cfg(not(interleave))]
 pub fn flight_recorded() -> u64 {
-    global_flight().pushed()
-}
-
-/// Interleave stub of [`flight_recorded`].
-#[cfg(interleave)]
-pub fn flight_recorded() -> u64 {
-    0
+    global_flight().map_or(0, FlightRing::pushed)
 }
 
 /// Invalidate every recorded summary (the monotone counter survives) and
 /// re-arm the automatic dump-once latches. Called by
 /// `Engine::reset_stats` so each telemetry window may dump again.
-#[cfg(not(interleave))]
 pub fn reset_flight() {
-    global_flight().clear();
+    if let Some(ring) = global_flight() {
+        ring.clear();
+    }
     // Ordering: Relaxed — the latch is advisory once-per-window noise
     // control; no data is published through it.
     DUMPED.store(0, std::sync::atomic::Ordering::Relaxed);
 }
-
-/// Interleave stub of [`reset_flight`].
-#[cfg(interleave)]
-pub fn reset_flight() {}
 
 /// Render the global flight ring as a JSON array of [`FlightRecord`]s.
 pub fn flightrec_json() -> String {
@@ -863,19 +659,19 @@ pub fn flightrec_json() -> String {
 
 /// Once-per-reason latch bits for [`auto_dump`] (reset by
 /// [`reset_flight`]).
-#[cfg(not(interleave))]
 static DUMPED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// How many tail entries an automatic dump prints.
-#[cfg(not(interleave))]
 const AUTO_DUMP_TAIL: usize = 8;
 
 /// Dump the recorder tail to stderr, at most once per `reason` per
 /// telemetry window. The engine calls this when a session is quarantined
 /// after a panic and when the admission gate sheds — the black-box
 /// moments the recorder exists for.
-#[cfg(not(interleave))]
 pub fn auto_dump(reason: &'static str) {
+    let Some(ring) = global_flight() else {
+        return;
+    };
     let bit = match reason {
         "quarantine" => 1u64,
         "shed" => 2,
@@ -887,12 +683,12 @@ pub fn auto_dump(reason: &'static str) {
     if prev & bit != 0 {
         return;
     }
-    let entries = flight_snapshot();
+    let entries = ring.snapshot();
     let tail = &entries[entries.len().saturating_sub(AUTO_DUMP_TAIL)..];
     eprintln!(
         "[flightrec] dump on {reason}: last {} of {} recorded requests",
         tail.len(),
-        flight_recorded()
+        ring.pushed()
     );
     for e in tail {
         eprintln!(
@@ -916,10 +712,6 @@ pub fn auto_dump(reason: &'static str) {
         );
     }
 }
-
-/// Interleave stub of [`auto_dump`].
-#[cfg(interleave)]
-pub fn auto_dump(_reason: &'static str) {}
 
 #[cfg(all(test, not(interleave)))]
 mod tests {
@@ -987,6 +779,20 @@ mod tests {
         ring.clear();
         assert!(ring.snapshot().is_empty());
         assert_eq!(ring.pushed(), 5, "push counter survives clear");
+    }
+
+    #[test]
+    fn lap_check_drops_a_slot_whose_tag_disagrees_with_its_stamp() {
+        let ring = FlightRing::new(4);
+        ring.push(&raw(1, Verb::Open));
+        // Stamp 1 with the tag of seq 2: a lapping writer's meta.
+        ring.ring.push(|seq| raw(2, Verb::Expand).words(seq + 1));
+        // Stamp 2 with a tag that agrees in the low 16 bits the codec keeps.
+        ring.ring
+            .push(|seq| raw(3, Verb::Close).words(seq + (1 << 16)));
+        let rids: Vec<u64> = ring.snapshot().iter().map(|e| e.request_id).collect();
+        assert_eq!(rids, vec![1, 3], "the mis-tagged slot must be dropped");
+        assert_eq!(ring.pushed(), 3);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! All wall-clock reads in the workspace flow through [`now_ns`]; the
 //! `no-naked-instant` lint rule forbids `Instant::now()` elsewhere.
 //!
-//! Under `--cfg interleave` the span/capture entry points compile to
-//! no-ops so the engine park/resume interleave model keeps its schedule
+//! Under `--cfg interleave` the process-global ring is compiled out (and
+//! the capture tape is never armed, since its drain feeds the modeled
+//! stage histograms), so the engine interleave models keep their schedule
 //! space focused on the session protocol; the ring's own slot protocol is
 //! explored by dedicated models over a local `SpanRing` (see
 //! `tests/interleave_models.rs`).
@@ -187,10 +188,26 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 /// fixed at first use.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-static RING: OnceLock<SpanRing> = OnceLock::new();
+/// The process-global span ring, or `None` under `--cfg interleave`: its
+/// slots are modeled atomics, and pushing to them from the engine models
+/// would add yield points to every schedule.
+#[cfg(not(interleave))]
+fn global_ring() -> Option<&'static SpanRing> {
+    static RING: OnceLock<SpanRing> = OnceLock::new();
+    Some(RING.get_or_init(|| SpanRing::new(DEFAULT_RING_CAPACITY)))
+}
 
-fn global_ring() -> &'static SpanRing {
-    RING.get_or_init(|| SpanRing::new(DEFAULT_RING_CAPACITY))
+/// See the non-interleave [`global_ring`].
+#[cfg(interleave)]
+fn global_ring() -> Option<&'static SpanRing> {
+    None
+}
+
+/// Push one event for the calling thread to the global ring.
+fn emit(stage: Stage, kind: SpanKind, ns: u64, rid: u64) {
+    if let Some(ring) = global_ring() {
+        ring.push(stage as u8, kind, TID.with(|t| *t) as u16, ns, rid);
+    }
 }
 
 thread_local! {
@@ -239,18 +256,20 @@ pub fn sample_every() -> u64 {
 
 /// Snapshot the global ring (sorted by sequence number).
 pub fn ring_snapshot() -> Vec<SpanEvent> {
-    global_ring().snapshot()
+    global_ring().map_or_else(Vec::new, SpanRing::snapshot)
 }
 
 /// Invalidate all events in the global ring. The monotone push counter
 /// ([`ring_pushed`]) is preserved.
 pub fn clear_ring() {
-    global_ring().clear();
+    if let Some(ring) = global_ring() {
+        ring.clear();
+    }
 }
 
 /// Monotone count of events ever pushed to the global ring.
 pub fn ring_pushed() -> u64 {
-    global_ring().pushed()
+    global_ring().map_or(0, SpanRing::pushed)
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +301,6 @@ struct SpanState {
 /// atomic load plus one thread-local read, no clock access — this is the
 /// cost that CI's tracing-overhead gate (`scripts/perf_gate.sh`, on
 /// navbench's `trace.overhead_frac`) bounds from above.
-#[cfg(not(interleave))]
 pub fn span(stage: Stage) -> SpanGuard {
     // Ordering: Relaxed — the toggle is advisory (see `set_enabled`); this
     // single load IS the documented tracing-off cost of a span site.
@@ -302,8 +320,7 @@ pub fn span(stage: Stage) -> SpanGuard {
     let rid = flightrec::current_request_id();
     let t0 = now_ns();
     if ring {
-        let tid = TID.with(|t| *t) as u16;
-        global_ring().push(stage as u8, SpanKind::Begin, tid, t0, rid);
+        emit(stage, SpanKind::Begin, t0, rid);
     }
     SpanGuard {
         state: Some(SpanState {
@@ -316,15 +333,6 @@ pub fn span(stage: Stage) -> SpanGuard {
     }
 }
 
-/// Under the interleave model the span plumbing is compiled out entirely:
-/// the engine park/resume model keeps its schedule space focused on the
-/// session protocol, and the ring's slot protocol is explored by dedicated
-/// models over a local [`SpanRing`].
-#[cfg(interleave)]
-pub fn span(_stage: Stage) -> SpanGuard {
-    SpanGuard { state: None }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(state) = self.state.take() else {
@@ -332,8 +340,7 @@ impl Drop for SpanGuard {
         };
         let t1 = now_ns();
         if state.ring {
-            let tid = TID.with(|t| *t) as u16;
-            global_ring().push(state.stage as u8, SpanKind::End, tid, t1, state.rid);
+            emit(state.stage, SpanKind::End, t1, state.rid);
         }
         if state.tape {
             TAPE.with(|tape| {
@@ -371,7 +378,9 @@ pub fn capture() -> CaptureGuard {
     CaptureGuard { _priv: () }
 }
 
-/// No-op under the interleave model (see [`span`]).
+/// Never arms the tape under the interleave model: draining it records
+/// into the modeled stage histograms, which would add yield points to
+/// every engine-model schedule.
 #[cfg(interleave)]
 pub fn capture() -> CaptureGuard {
     CaptureGuard { _priv: () }
@@ -392,17 +401,12 @@ impl Drop for CaptureGuard {
 /// split): re-opening a span would double-emit begin/end events to the
 /// ring, so the caller times the interval itself and records it tape-only.
 /// Outside an active capture this is a no-op, matching the span fast path.
-#[cfg(not(interleave))]
 pub fn record(stage: Stage, ns: u64) {
     if CAPTURE.with(|c| c.get() > 0) {
         let rid = flightrec::current_request_id();
         TAPE.with(|tape| tape.borrow_mut().push((stage, ns, rid)));
     }
 }
-
-/// No-op under the interleave model (see [`span`]).
-#[cfg(interleave)]
-pub fn record(_stage: Stage, _ns: u64) {}
 
 /// Drain the thread-local capture tape, returning every
 /// `(stage, ns, request id)` triple recorded since the tape was opened

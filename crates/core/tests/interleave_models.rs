@@ -6,11 +6,14 @@
 //! 3. the [`Engine`] park / resume session protocol (open → expand → close
 //!    from concurrent workers), plus the quarantine transition (DESIGN.md
 //!    §5f) racing a healthy neighbor's open / expand / close,
-//! 4. the [`bionav_core::trace::SpanRing`] seqlock slot protocol
-//!    (writers vs snapshot vs clear), plus a seeded torn-write meta-test,
+//! 4. the one seqlock slot protocol (`trace::ring`'s `SeqRing`, writers
+//!    vs snapshot vs clear) through both of its codecs: the
+//!    [`bionav_core::trace::SpanRing`], plus a seeded torn-write meta-test,
 //!    and the flight recorder's [`bionav_core::trace::flightrec::FlightRing`]
-//!    (same seqlock protocol, wider multi-word payload) under the same
-//!    writer/reader races (DESIGN.md §5j),
+//!    (wider multi-word payload) under the same writer/reader races
+//!    (DESIGN.md §5e/§5j). Only the process-global rings are compiled out
+//!    of this build; the request scopes the engine models of item 3 open
+//!    are plain thread-local code and add no yield points,
 //! 5. the [`ShardedEngine`] tier (DESIGN.md §5h): concurrent open / route /
 //!    close across two shards keeps every per-shard and merged gauge
 //!    balanced, and a breaker trip racing an in-flight cold open never
@@ -783,10 +786,9 @@ fn trace_ring_clear_vs_writer() {
 /// every accepted summary must be internally consistent — its rid,
 /// shard, end-to-end latency, and stage breakdown all encode the same
 /// writer — the mid-flight snapshot never exceeds capacity, and after
-/// both writers join, both sequence numbers survive. The flight ring
-/// reuses the span ring's seqlock protocol with a wider multi-word
-/// payload, so a torn slot here would mean the protocol does not extend
-/// to `4 + STAGE_WORDS` atomics.
+/// both writers join, both sequence numbers survive. The flight ring is
+/// the span ring's `SeqRing` with a wider codec, so a torn slot here
+/// would mean the protocol does not extend to `4 + STAGE_WORDS` atomics.
 #[test]
 fn flight_ring_concurrent_writers_and_snapshot() {
     use bionav_core::trace::flightrec::{FlightRing, RawSummary, Verb};

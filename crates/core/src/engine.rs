@@ -736,6 +736,33 @@ where
         scope
     }
 
+    /// The request envelope of [`Engine::open_session`] /
+    /// [`Engine::restore_session`], [`Engine::expand`] and
+    /// [`Engine::run_script`]: open (or join) the `verb` flight scope, tag
+    /// the fault shard, and run `body` under the capture tape and an
+    /// outermost `stage` span; then drain the tape into the stage metrics
+    /// and note a typed failure on the flight record.
+    fn serve_request<T>(
+        &self,
+        verb: Verb,
+        stage: Stage,
+        body: impl FnOnce() -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let _flight = self.flight_scope(verb);
+        let _shard = self.fault_scope();
+        let cap = trace::capture();
+        let out = {
+            let _sp = trace::span(stage);
+            body()
+        };
+        drop(cap);
+        self.absorb_tape();
+        if let Err(e) = &out {
+            flightrec::note_error(e.flight_code());
+        }
+        out
+    }
+
     /// Builder-style [`DegradePolicy`] override.
     pub fn with_policy(mut self, policy: DegradePolicy) -> Self {
         self.set_policy(policy);
@@ -935,11 +962,7 @@ where
         query: &str,
         make: impl FnOnce(SharedTree) -> Result<Session<SharedTree>, EngineError>,
     ) -> Result<SessionId, EngineError> {
-        let _flight = self.flight_scope(Verb::Open);
-        let _shard = self.fault_scope();
-        let cap = trace::capture();
-        let out: Result<SessionId, EngineError> = (|| {
-            let _sp = trace::span(Stage::OpenSession);
+        self.serve_request(Verb::Open, Stage::OpenSession, || {
             // Expired on arrival? Reject before the (possibly cold) tree
             // build — the most expensive thing a dead request could buy.
             self.deadline_reject()?;
@@ -977,13 +1000,7 @@ where
                 trace::now_ns().saturating_sub(t0),
             );
             Ok(SessionId(id))
-        })();
-        drop(cap);
-        self.absorb_tape();
-        if let Err(e) = &out {
-            flightrec::note_error(e.flight_code());
-        }
-        out
+        })
     }
 
     /// Runs `f` against the parked session `id`. The session-table lock is
@@ -1266,24 +1283,14 @@ where
     /// [`EngineError::SessionPanicked`] when this call's panic quarantined
     /// the session, [`EngineError::Cut`] when the navigation refused.
     pub fn expand(&self, id: SessionId, node: NavNodeId) -> Result<ExpandReply, EngineError> {
-        let _flight = self.flight_scope(Verb::Expand);
-        let _shard = self.fault_scope();
-        let cap = trace::capture();
-        let out = (|| {
-            let _sp = trace::span(Stage::Expand);
+        self.serve_request(Verb::Expand, Stage::Expand, || {
             // Expired on arrival? Reject typed before touching the session
             // table or any solver machinery (DESIGN.md §5k).
             self.deadline_reject()?;
             let (slot, cuts) = self.session_and_cuts(id)?;
             let (result, _ns) = self.expand_on_slot(id, &slot, &cuts, node)?;
             result.map_err(EngineError::Cut)
-        })();
-        drop(cap);
-        self.absorb_tape();
-        if let Err(e) = &out {
-            flightrec::note_error(e.flight_code());
-        }
-        out
+        })
     }
 
     /// Re-parks a previously exported session over `query`'s tree (the
@@ -1345,11 +1352,7 @@ where
         query: &str,
         script: &[ScriptOp],
     ) -> Result<ScriptOutcome, EngineError> {
-        let _flight = self.flight_scope(Verb::Script);
-        let _shard = self.fault_scope();
-        let cap = trace::capture();
-        let out = (|| {
-            let _sp = trace::span(Stage::RunScript);
+        self.serve_request(Verb::Script, Stage::RunScript, || {
             let id = self.open_session(query)?;
             let finished = self.run_ops(id, query, script);
             if finished.is_err() {
@@ -1359,13 +1362,7 @@ where
                 let _ = self.close_session(id);
             }
             finished
-        })();
-        drop(cap);
-        self.absorb_tape();
-        if let Err(e) = &out {
-            flightrec::note_error(e.flight_code());
-        }
-        out
+        })
     }
 
     /// The script interpreter behind [`Engine::run_script`], separated so

@@ -432,12 +432,15 @@ fn reduced_parent(nav: &NavigationTree, part: &Partition, map: &NodeMap) -> usiz
 /// (`tests/plan_equivalence.rs`). **Not used in serving** — it runs
 /// `partition_until` twice per planned expansion and solves with throwaway
 /// memos, which is exactly the tail-latency bug the single-pass pipeline
-/// replaces. Do not "optimize" this module; its value is fidelity to the
-/// pre-optimization semantics.
+/// replaces. It partitions with the frozen linear-ladder
+/// [`partition::oracle`](crate::edgecut::partition::oracle), so the
+/// equivalence suite also checks the live partitioner end to end. Do not
+/// "optimize" this module; its value is fidelity to the pre-optimization
+/// semantics.
 #[doc(hidden)]
 pub mod reference {
     use super::*;
-    use crate::edgecut::partition::partition_until;
+    use crate::edgecut::partition::oracle::partition_until;
 
     /// Two-pass [`super::plan_component`]: expand, then re-partition and
     /// re-solve to retain the plan.

@@ -37,20 +37,31 @@ pub mod counters {
 
     thread_local! {
         static PARTITION_RUNS: Cell<u64> = const { Cell::new(0) };
+        static CLUSTER_PASSES: Cell<u64> = const { Cell::new(0) };
         static PLAN_SOLVES: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Resets both counters for the current thread.
+    /// Resets every counter for the current thread.
     pub fn reset() {
         PARTITION_RUNS.with(|c| c.set(0));
+        CLUSTER_PASSES.with(|c| c.set(0));
         PLAN_SOLVES.with(|c| c.set(0));
     }
 
     /// Number of `partition_until` pipeline runs on this thread since the
-    /// last [`reset`]. Each run covers the whole M-stepping loop, so one
+    /// last [`reset`]. Each run covers the whole threshold search, so one
     /// fresh plan counts as exactly one run.
     pub fn partition_runs() -> u64 {
         PARTITION_RUNS.with(|c| c.get())
+    }
+
+    /// Number of bottom-up clustering passes on this thread since the last
+    /// [`reset`], summed over every `partition_until` run and single
+    /// `partition_component` call. A run binary-searches its threshold
+    /// ladder, so it takes at most `⌈log₂ rungs⌉ + 1` passes; tests pin
+    /// that bound.
+    pub fn cluster_passes() -> u64 {
+        CLUSTER_PASSES.with(|c| c.get())
     }
 
     /// Number of fresh reduced-problem solves on this thread since the
@@ -62,6 +73,10 @@ pub mod counters {
 
     pub(crate) fn note_partition_run() {
         PARTITION_RUNS.with(|c| c.set(c.get() + 1));
+    }
+
+    pub(crate) fn note_cluster_pass() {
+        CLUSTER_PASSES.with(|c| c.set(c.get() + 1));
     }
 
     pub(crate) fn note_plan_solve() {

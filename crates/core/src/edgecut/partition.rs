@@ -15,16 +15,48 @@
 //! matters for the (possibly empty) root and keeps zero-weight chains from
 //! producing unbounded partition counts.
 //!
+//! # Searching the M ladder
+//!
+//! "Gradually increased" is a fixed ladder of thresholds: `M₀ = max(1,
+//! W/k)`, then `M ← max(M + M/7, M + 1)` (15% steps), with the last rung
+//! capped at `W`, where one cluster always remains. The accepted `M` is
+//! the first rung whose pass detaches at most `k` clusters. Instead of
+//! walking the ladder rung by rung, [`partition_until_in`] binary-searches
+//! it, so a run costs `⌈log₂ rungs⌉ + 1` passes at most instead of up to
+//! one per rung. The search finds the same rung: Kundu & Misra's greedy
+//! yields the *minimum* partition count for each `M` (an overweight node
+//! stands alone whatever the threshold, so capping node weights at `M`
+//! gives the same passes and counts), and a partition that is valid for
+//! `M` is valid for every larger `M`, so the count never rises along the
+//! ladder.
+//!
+//! # Heaviest-child selection
+//!
+//! When a node's cluster exceeds `M`, its attached child clusters go into
+//! a max-heap keyed by `(cluster weight, position in the child list)`.
+//! Detaching swap-removes the child, and the child moved into the freed
+//! slot is pushed again under its new position; entries whose position is
+//! out of range, or whose weight no longer matches the child at that
+//! position, are skipped on pop. The top key is therefore the *last*
+//! maximum in the list's current order, exactly the child the original
+//! `max_by_key` rescan picked, in O(log d) per detach instead of O(d).
+//! Which of two tied children is detached changes the partitions, so this
+//! rule is load-bearing.
+//!
+//! The pre-search, pre-heap partitioner is kept as the test-only
+//! [`oracle`] module, which the equivalence suites compare against.
+//!
 //! # Allocation discipline
 //!
-//! [`partition_until`] runs the clustering pass many times while it steps
-//! `M`; on MeSH-scale components the per-pass `HashMap` membership index
-//! and fresh buffers used to dominate fresh-EXPAND latency. The `*_in`
-//! variants therefore thread a [`NavScratch`] arena (DESIGN.md §5c)
-//! through the pass: membership is an epoch-stamped node-indexed map, the
-//! cluster buffers are reused across passes, and only the **final** pass
-//! materializes [`Partition`] values. The plain entry points wrap the
-//! `*_in` forms with a throwaway arena and produce bit-identical output.
+//! [`partition_until`] runs the clustering pass several times while it
+//! searches `M`; on MeSH-scale components the per-pass `HashMap`
+//! membership index and fresh buffers used to dominate fresh-EXPAND
+//! latency. The `*_in` variants therefore thread a [`NavScratch`] arena
+//! (DESIGN.md §5c) through the pass: membership is an epoch-stamped
+//! node-indexed map, the cluster buffers, the ladder and the heap are
+//! reused across passes, and only the **final** pass materializes
+//! [`Partition`] values. The plain entry points wrap the `*_in` forms with
+//! a throwaway arena and produce bit-identical output.
 
 use crate::edgecut::counters;
 use crate::navtree::{NavNodeId, NavigationTree};
@@ -50,8 +82,8 @@ fn node_weight(nav: &NavigationTree, n: NavNodeId) -> u64 {
 /// On return `map` holds the component membership index (node slot →
 /// component index, stamped for the current epoch), and `arena.detached`
 /// holds the component indices of the partition roots — the component root
-/// (index 0) last. `arena.cluster_weight` / `arena.cluster_children` are
-/// pass-local working state.
+/// (index 0) last. `arena.cluster_weight` / `arena.cluster_children` /
+/// `arena.heap` are pass-local working state.
 fn cluster_pass(
     nav: &NavigationTree,
     comp: &[NavNodeId],
@@ -59,6 +91,7 @@ fn cluster_pass(
     map: &mut NodeMap,
     arena: &mut PartitionArena,
 ) {
+    counters::note_cluster_pass();
     // Epoch-stamped membership: node slot -> component index.
     map.begin(nav.len());
     for (i, &n) in comp.iter().enumerate() {
@@ -86,24 +119,47 @@ fn cluster_pass(
                 arena.cluster_weight[i] += arena.cluster_weight[ci];
             }
         }
-        while arena.cluster_weight[i] > max_weight && !arena.cluster_children[i].is_empty() {
-            // Detach the heaviest child cluster as a finished partition.
-            // `max_by_key` keeps the *last* maximum on ties, matching the
-            // original implementation's tie-breaking exactly.
-            let (pos, &heaviest) = arena.cluster_children[i]
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| arena.cluster_weight[c])
-                // lint: allow(no-unwrap) — the while condition just checked
-                // cluster_children[i] is non-empty
-                .expect("non-empty");
-            arena.cluster_children[i].swap_remove(pos);
-            let w = arena.cluster_weight[heaviest];
-            arena.cluster_weight[i] -= w;
-            arena.detached.push(heaviest);
+        if arena.cluster_weight[i] > max_weight && !arena.cluster_children[i].is_empty() {
+            detach_heaviest(i, max_weight, arena);
         }
     }
     arena.detached.push(0); // the root's remaining cluster
+}
+
+/// Detaches the heaviest child clusters of component index `i` as finished
+/// partitions until its cluster weighs at most `max_weight` or no child is
+/// left. The heap's top valid key is the last maximum in the child list's
+/// current order (see the module docs), matching the original rescan.
+fn detach_heaviest(i: usize, max_weight: u64, arena: &mut PartitionArena) {
+    let PartitionArena {
+        cluster_weight,
+        cluster_children,
+        detached,
+        heap,
+        ..
+    } = arena;
+    let children = &mut cluster_children[i];
+    heap.clear();
+    heap.extend(
+        children
+            .iter()
+            .enumerate()
+            .map(|(pos, &c)| (cluster_weight[c], pos)),
+    );
+    while cluster_weight[i] > max_weight {
+        let Some((w, pos)) = heap.pop() else {
+            break; // every child is detached
+        };
+        if pos >= children.len() || cluster_weight[children[pos]] != w {
+            continue; // stale: that child moved or left
+        }
+        let heaviest = children.swap_remove(pos);
+        if let Some(&moved) = children.get(pos) {
+            heap.push((cluster_weight[moved], pos));
+        }
+        cluster_weight[i] -= w;
+        detached.push(heaviest);
+    }
 }
 
 /// Materializes the partitions recorded in `arena.detached` by the most
@@ -203,9 +259,16 @@ pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Ve
     partition_until_in(nav, comp, k, &mut scratch)
 }
 
-/// [`partition_until`] with a caller-owned scratch arena. Intermediate
-/// `M`-steps only count detached clusters; partitions are materialized once
-/// for the accepted threshold, so the loop allocates nothing per step.
+/// [`partition_until`] with a caller-owned scratch arena.
+///
+/// Builds the M ladder (`W/k`, then 15% steps, the last rung capped at
+/// `W`) in the arena and binary-searches it for the first rung whose pass
+/// detaches at most `k` clusters; the last rung qualifies by construction.
+/// This is the rung a linear walk would stop at, because the greedy's
+/// partition count never rises with `M` (module docs). Probes only count
+/// detached clusters; the accepted rung's pass is re-run if the last probe
+/// was elsewhere, and partitions are materialized once, so a run takes at
+/// most `⌈log₂ rungs⌉ + 1` passes and allocates nothing per pass.
 pub fn partition_until_in(
     nav: &NavigationTree,
     comp: &[NavNodeId],
@@ -216,19 +279,144 @@ pub fn partition_until_in(
     assert!(!comp.is_empty(), "cannot partition an empty component");
     counters::note_partition_run();
     let total: u64 = comp.iter().map(|&n| node_weight(nav, n)).sum();
-    let mut m = (total / k as u64).max(1);
     let (map, arena) = scratch.parts();
-    loop {
-        cluster_pass(nav, comp, m.max(1), map, arena);
-        if arena.detached.len() <= k {
-            return materialize(nav, comp, map, arena);
-        }
-        // 15% steps track the smallest M reaching ≤ k reasonably closely,
-        // which keeps the reduced tree as fine-grained as allowed.
+    // 15% steps track the smallest M reaching ≤ k reasonably closely,
+    // which keeps the reduced tree as fine-grained as allowed.
+    arena.ladder.clear();
+    let mut m = (total / k as u64).max(1);
+    while m < total {
+        arena.ladder.push(m);
         m = (m + m / 7).max(m + 1);
-        if m >= total {
-            cluster_pass(nav, comp, total.max(1), map, arena);
-            return materialize(nav, comp, map, arena);
+    }
+    arena.ladder.push(total);
+
+    let (mut lo, mut hi) = (0, arena.ladder.len() - 1);
+    let mut probed = None;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        cluster_pass(nav, comp, arena.ladder[mid], map, arena);
+        probed = Some(mid);
+        if arena.detached.len() <= k {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    if probed != Some(lo) {
+        cluster_pass(nav, comp, arena.ladder[lo], map, arena);
+    }
+    materialize(nav, comp, map, arena)
+}
+
+/// The partitioner as it was before the ladder search and the
+/// heaviest-child heap: a linear walk up the M ladder and a `max_by_key`
+/// rescan after every detach. Kept verbatim as the equivalence oracle for
+/// the partition property tests and for
+/// [`heuristic::reference`](crate::edgecut::heuristic::reference).
+/// **Not used in serving**, and it touches no [`counters`]. Do not
+/// "optimize" this module; its value is fidelity to the original
+/// semantics.
+#[doc(hidden)]
+pub mod oracle {
+    use super::{materialize, node_weight, Partition};
+    use crate::navtree::{NavNodeId, NavigationTree};
+    use crate::scratch::{NavScratch, NodeMap, PartitionArena};
+
+    /// Runs one bottom-up clustering pass with threshold `max_weight`.
+    ///
+    /// On return `map` holds the component membership index (node slot →
+    /// component index, stamped for the current epoch), and `arena.detached`
+    /// holds the component indices of the partition roots — the component root
+    /// (index 0) last. `arena.cluster_weight` / `arena.cluster_children` are
+    /// pass-local working state.
+    fn cluster_pass(
+        nav: &NavigationTree,
+        comp: &[NavNodeId],
+        max_weight: u64,
+        map: &mut NodeMap,
+        arena: &mut PartitionArena,
+    ) {
+        // Epoch-stamped membership: node slot -> component index.
+        map.begin(nav.len());
+        for (i, &n) in comp.iter().enumerate() {
+            map.set(n.index(), i as u32);
+        }
+
+        // cluster_weight[i]: weight of the still-attached cluster rooted at
+        // comp[i]; cluster_children[i]: attached child cluster roots.
+        if arena.cluster_weight.len() < comp.len() {
+            arena.cluster_weight.resize(comp.len(), 0);
+            arena.cluster_children.resize(comp.len(), Vec::new());
+        }
+        for (i, &n) in comp.iter().enumerate() {
+            arena.cluster_weight[i] = node_weight(nav, n);
+            arena.cluster_children[i].clear();
+        }
+        arena.detached.clear();
+
+        // Pre-order guarantees children come after parents; process in reverse.
+        for i in (0..comp.len()).rev() {
+            for &c in nav.children(comp[i]) {
+                if let Some(ci) = map.get(c.index()) {
+                    let ci = ci as usize;
+                    arena.cluster_children[i].push(ci);
+                    arena.cluster_weight[i] += arena.cluster_weight[ci];
+                }
+            }
+            while arena.cluster_weight[i] > max_weight && !arena.cluster_children[i].is_empty() {
+                // Detach the heaviest child cluster as a finished partition.
+                // `max_by_key` keeps the *last* maximum on ties, matching the
+                // original implementation's tie-breaking exactly.
+                let (pos, &heaviest) = arena.cluster_children[i]
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, &c)| arena.cluster_weight[c])
+                    // lint: allow(no-unwrap) — the while condition just checked
+                    // cluster_children[i] is non-empty
+                    .expect("non-empty");
+                arena.cluster_children[i].swap_remove(pos);
+                let w = arena.cluster_weight[heaviest];
+                arena.cluster_weight[i] -= w;
+                arena.detached.push(heaviest);
+            }
+        }
+        arena.detached.push(0); // the root's remaining cluster
+    }
+
+    /// One clustering pass at threshold `max_weight` (floored at 1).
+    pub fn partition_component(
+        nav: &NavigationTree,
+        comp: &[NavNodeId],
+        max_weight: u64,
+    ) -> Vec<Partition> {
+        assert!(!comp.is_empty(), "cannot partition an empty component");
+        let mut scratch = NavScratch::new();
+        let (map, arena) = scratch.parts();
+        cluster_pass(nav, comp, max_weight.max(1), map, arena);
+        materialize(nav, comp, map, arena)
+    }
+
+    /// The linear reduction loop: one pass per ladder rung until at most
+    /// `k` clusters are detached.
+    pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Vec<Partition> {
+        assert!(k >= 1);
+        assert!(!comp.is_empty(), "cannot partition an empty component");
+        let mut scratch = NavScratch::new();
+        let total: u64 = comp.iter().map(|&n| node_weight(nav, n)).sum();
+        let mut m = (total / k as u64).max(1);
+        let (map, arena) = scratch.parts();
+        loop {
+            cluster_pass(nav, comp, m.max(1), map, arena);
+            if arena.detached.len() <= k {
+                return materialize(nav, comp, map, arena);
+            }
+            // 15% steps track the smallest M reaching ≤ k reasonably closely,
+            // which keeps the reduced tree as fine-grained as allowed.
+            m = (m + m / 7).max(m + 1);
+            if m >= total {
+                cluster_pass(nav, comp, total.max(1), map, arena);
+                return materialize(nav, comp, map, arena);
+            }
         }
     }
 }

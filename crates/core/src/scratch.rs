@@ -2,7 +2,7 @@
 //!
 //! A fresh EXPAND used to allocate a `HashMap<NavNodeId, usize>` per
 //! partitioning pass (and [`partition_until`](crate::edgecut::partition::partition_until)
-//! runs *many* passes while it steps its weight threshold), plus fresh
+//! runs several passes while it searches its weight threshold), plus fresh
 //! cluster buffers, a fresh component vector, and a fresh DFS stack — on
 //! MeSH-scale components the hashing and allocation dominated the tail of
 //! the serve bench. [`NavScratch`] replaces all of that with node-indexed,
@@ -17,8 +17,9 @@
 //!   reduced-problem build (O(1) `reduced_parent` lookups instead of
 //!   per-partition `Vec::contains` scans).
 //! * [`NavScratch`] — the full arena: the map plus cluster-weight /
-//!   cluster-children / detached-roots buffers for the Kundu–Misra
-//!   partitioner and a DFS stack for component reassignment.
+//!   cluster-children / detached-roots buffers, the M ladder and the
+//!   heaviest-child heap for the Kundu–Misra partitioner, and a DFS stack
+//!   for component reassignment.
 //!
 //! The arena holds no navigation state — only scratch capacity — so it is
 //! deliberately *not* serialized with sessions and is rebuilt empty on
@@ -27,6 +28,8 @@
 //!
 //! [`Session`]: crate::session::Session
 //! [`ActiveTree`]: crate::active::ActiveTree
+
+use std::collections::BinaryHeap;
 
 use crate::navtree::NavNodeId;
 
@@ -88,6 +91,11 @@ pub(crate) struct PartitionArena {
     pub(crate) detached: Vec<usize>,
     /// Partition id per component index (`u32::MAX` = unassigned).
     pub(crate) partition_of: Vec<u32>,
+    /// The threshold ladder `partition_until_in` binary-searches.
+    pub(crate) ladder: Vec<u64>,
+    /// `(child cluster weight, position in the child list)` max-heap for
+    /// picking the heaviest child to detach.
+    pub(crate) heap: BinaryHeap<(u64, usize)>,
     /// DFS stack for component reassignment in `ActiveTree::expand_in`.
     pub(crate) dfs: Vec<NavNodeId>,
 }

@@ -106,7 +106,9 @@ static NEXT_SHARD: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsi
 
 thread_local! {
     // Relaxed: round-robin ticket draw; no ordering with any other memory.
-    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
+    // `rem_euclid` rather than `%`: the interleave build has one shard, and
+    // `% 1` is rejected by `clippy::modulo_one` there.
+    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed).rem_euclid(NUM_SHARDS);
 }
 
 struct Shard {

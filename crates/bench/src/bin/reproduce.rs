@@ -27,8 +27,6 @@
 //! Exits non-zero when any shape check fails, so CI can gate on the
 //! reproduction staying faithful.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 use bionav_bench::experiments;

@@ -1,12 +1,14 @@
 //! One function per paper table/figure plus the DESIGN.md ablations.
 //!
-//! lint: allow-file(no-unwrap) — experiment harness: reproduction runs want
-//! a loud abort with context over silent recovery when a fixture breaks.
-//!
 //! Each experiment prints its table and returns a [`ShapeCheck`] asserting
 //! the qualitative result the paper reports — not the absolute numbers
 //! (their testbed was a 2008 Java/Oracle stack; ours is a simulator), but
 //! the *shape*: who wins, by roughly what factor, where the outliers are.
+
+#![expect(
+    clippy::expect_used,
+    reason = "experiment harness: reproduction runs want a loud abort with context over silent recovery when a fixture breaks"
+)]
 
 use std::time::Duration;
 
@@ -1551,6 +1553,10 @@ where
     let outcomes: Mutex<Vec<Option<SessionOutcome>>> = Mutex::new(vec![None; plans.len()]);
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "driver thread; poisoning aborts the bench loudly"
+            )]
             scope.spawn(|| loop {
                 // Relaxed: the counter is the only shared state the claim
                 // touches; plan payloads are read-only behind the scope.
@@ -1640,7 +1646,6 @@ where
                     .unwrap_or_else(now_ns)
                     .saturating_sub(t0)
                     .max(plan.intended_start_ns);
-                // lint: allow(no-unwrap) — driver thread; poisoning aborts the bench loudly
                 outcomes.lock().unwrap()[i] = Some(SessionOutcome {
                     intended_ns: plan.intended_start_ns,
                     done_ns,
@@ -1649,7 +1654,10 @@ where
             });
         }
     });
-    // lint: allow(no-unwrap) — every slot was filled by the claiming worker
+    #[expect(
+        clippy::unwrap_used,
+        reason = "every slot was filled by the claiming worker"
+    )]
     outcomes
         .into_inner()
         .unwrap()

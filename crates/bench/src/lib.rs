@@ -11,7 +11,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod experiments;
 pub mod report;
@@ -60,7 +60,10 @@ pub fn evaluate_parallel(workload: &Workload, params: &CostParams) -> Vec<QueryE
         // The pool isolates per-task panics (DESIGN.md §5f); for this
         // offline driver a lost query is fatal, so surface it loudly
         // instead of silently dropping the row.
-        // lint: allow(no-unwrap) — offline bench driver: a lost evaluation row must abort the run
+        #[expect(
+            clippy::panic,
+            reason = "offline bench driver: a lost evaluation row must abort the run"
+        )]
         Err(p) => panic!("evaluation of query #{} panicked: {}", p.task, p.message),
     })
     .collect()

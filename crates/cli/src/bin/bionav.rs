@@ -9,8 +9,6 @@
 //! bionav serve --addr 127.0.0.1:4662 --shards 4   # TCP serving tier
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -30,9 +30,11 @@ impl Dataset {
     /// A self-contained synthetic demo (`size` concepts, `size × 2`
     /// citations), deterministic in `seed`.
     pub fn demo(seed: u64, size: usize) -> Dataset {
+        #[expect(
+            clippy::expect_used,
+            reason = "SynthConfig::small() is a fixed valid config; generation failure is a bug worth aborting the demo for"
+        )]
         let hierarchy =
-            // lint: allow(no-unwrap) — SynthConfig::small() is a fixed valid
-            // config; generation failure is a bug worth aborting the demo for
             synth::generate(&SynthConfig::small(seed, size)).expect("synthetic hierarchies build");
         let store = corpus::generate(
             &hierarchy,

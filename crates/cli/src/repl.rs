@@ -1,15 +1,16 @@
 //! The I/O-free REPL core: one command line in, one response string out.
 //!
-//! lint: allow-file(no-unwrap) — interactive surface: commands validate the
-//! session up front, then expect() on engine calls the validation made
-//! infallible; an abort here ends one REPL turn, not a serving process.
-//!
 //! Navigation runs through the [`bionav_core::Engine`] serving layer: every
 //! `query` resolves its navigation tree through the engine's LRU cache (so
 //! re-issuing a query is a cache hit, not a rebuild), every navigation
 //! lives in an engine-managed session, and `serve-stats` surfaces the
 //! engine telemetry — cache hit rate, per-EXPAND latency percentiles,
 //! session counts.
+
+#![expect(
+    clippy::expect_used,
+    reason = "interactive surface: commands validate the session up front, then expect() on engine calls the validation made infallible; an abort here ends one REPL turn, not a serving process"
+)]
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -72,11 +72,13 @@ pub fn simulate_static_paged(
             }
             expanded.push(parent);
             let ranked = ranked_children(nav, parent);
+            #[expect(
+                clippy::expect_used,
+                reason = "`next` came from walking the path root→t, so it is one of `parent`'s children by definition"
+            )]
             let rank = ranked
                 .iter()
                 .position(|&c| c == next)
-                // lint: allow(no-unwrap) — `next` came from walking the path
-                // root→t, so it is one of `parent`'s children by definition
                 .expect("the path child is among the parent's children");
             let pages = rank / page_size + 1;
             out.expands += 1; // the expand itself

@@ -415,15 +415,15 @@ fn reduced_problem(
 
 /// Index of the partition containing the navigation parent of `part`'s
 /// root — an O(1) lookup in the stamped partition-id map.
+#[expect(
+    clippy::expect_used,
+    reason = "partition() only emits non-root partitions below the component root, so the nav parent always exists, and the stamped map covers every node of the component by construction (see NodeMap::stamp_component)"
+)]
 fn reduced_parent(nav: &NavigationTree, part: &Partition, map: &NodeMap) -> usize {
     let up = nav
         .parent(part.root)
-        // lint: allow(no-unwrap) — partition() only emits non-root partitions
-        // below the component root, so the nav parent always exists
         .expect("non-root partitions hang below the component root");
     map.get(up.index())
-        // lint: allow(no-unwrap) — the stamped map covers every node of the
-        // component by construction (see NodeMap::stamp_component)
         .expect("the parent node belongs to some partition of the same component") as usize
 }
 
@@ -474,9 +474,10 @@ pub mod reference {
         if comp.len() < 2 {
             return None;
         }
-        // lint: allow(no-naked-instant) — the historical two-pass reference
-        // is kept verbatim for the equivalence suite; it predates the
-        // instrumented clock and never runs on the serve path
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the historical two-pass reference is kept verbatim for the equivalence suite; it predates the instrumented clock and never runs on the serve path"
+        )]
         let started = Instant::now();
         let parts = partition_until(nav, comp, params.max_partitions);
 
@@ -573,17 +574,19 @@ pub mod reference {
     }
 
     fn reference_parent(nav: &NavigationTree, parts: &[Partition], i: usize) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "same structural invariant as reduced_parent above; kept verbatim as the reference"
+        )]
         let up = nav
             .parent(parts[i].root)
-            // lint: allow(no-unwrap) — same structural invariant as
-            // reduced_parent above; kept verbatim as the reference
             .expect("non-root partitions hang below the component root");
+        #[expect(clippy::expect_used, reason = "reference twin of reduced_parent")]
         parts
             .iter()
             // lint: allow(hotpath-no-hashmap) — behavioral reference kept
             // verbatim; not on the serve path (see module docs)
             .position(|p| p.nodes.contains(&up))
-            // lint: allow(no-unwrap) — reference twin of reduced_parent
             .expect("the parent node belongs to some partition of the same component")
     }
 }

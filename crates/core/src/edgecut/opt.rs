@@ -162,7 +162,10 @@ impl CutProblem {
         assert!(parent[0].is_none(), "unit 0 must be the root");
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, &p) in parent.iter().enumerate().skip(1) {
-            // lint: allow(no-unwrap) — asserted above: parent[0] is the only None
+            #[expect(
+                clippy::expect_used,
+                reason = "asserted above: parent[0] is the only None"
+            )]
             let p = p.expect("only the root lacks a parent");
             assert!(p < i, "parents must precede children (pre-order numbering)");
             children[p].push(i);
@@ -201,10 +204,12 @@ impl CutProblem {
         params: CostParams,
     ) -> Self {
         let index_of = |n: crate::navtree::NavNodeId| {
+            #[expect(
+                clippy::expect_used,
+                reason = "components are parent-closed by construction (partition() emits whole subtrees)"
+            )]
             comp.iter()
                 .position(|&m| m == n)
-                // lint: allow(no-unwrap) — components are parent-closed by
-                // construction (partition() emits whole subtrees)
                 .expect("parents of members are members")
         };
         let parent: Vec<Option<usize>> = comp
@@ -214,8 +219,10 @@ impl CutProblem {
                 if i == 0 {
                     None
                 } else {
-                    // lint: allow(no-unwrap) — i > 0 means n is not the
-                    // component root, so its nav parent exists
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "i > 0 means n is not the component root, so its nav parent exists"
+                    )]
                     Some(index_of(nav.parent(n).expect("non-root")))
                 }
             })
@@ -291,13 +298,15 @@ impl CutProblem {
 
     /// Root of a connected mask: the unique unit whose parent is outside.
     fn root_of(&self, mask: u64) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "callers never pass mask == 0, and any non-empty mask has a minimal element whose parent is outside it"
+        )]
         iter_mask(mask)
             .find(|&i| match self.parent[i] {
                 None => true,
                 Some(p) => mask & (1u64 << p) == 0,
             })
-            // lint: allow(no-unwrap) — callers never pass mask == 0, and any
-            // non-empty mask has a minimal element whose parent is outside it
             .expect("masks are non-empty")
     }
 }
@@ -394,8 +403,10 @@ impl CutSolver<'_> {
             let mut score = p.params.expand_cost + self.component_read_cost(upper);
             let mut lower_roots: Vec<usize> = Vec::new();
             for v in iter_mask(mask & !upper) {
-                // lint: allow(no-unwrap) — the root is in every upper prefix,
-                // so v outside `upper` cannot be the root
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the root is in every upper prefix, so v outside `upper` cannot be the root"
+                )]
                 let pv = p.parent[v].expect("non-root units have parents");
                 if upper & (1u64 << pv) != 0 {
                     lower_roots.push(v);
@@ -456,8 +467,10 @@ impl CutSolver<'_> {
             let mut cut_cost = 0.0;
             let mut lower_roots: Vec<usize> = Vec::new();
             for v in iter_mask(mask & !upper) {
-                // lint: allow(no-unwrap) — the root is in every upper prefix,
-                // so v outside `upper` cannot be the root
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the root is in every upper prefix, so v outside `upper` cannot be the root"
+                )]
                 let pv = p.parent[v].expect("non-root units have parents");
                 if upper & (1u64 << pv) != 0 {
                     lower_roots.push(v);
@@ -513,10 +526,12 @@ pub fn simulate_topdown_user(
         return f64::from(distinct); // SHOWRESULTS
     }
     // EXPAND with the optimal cut; the DP prices the same choice.
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the px > 0 branch above; the DP that priced px already materialized this cut"
+    )]
     let cut = solver
         .best_cut(mask)
-        // lint: allow(no-unwrap) — guarded by the px > 0 branch above; the DP
-        // that priced px already materialized this cut
         .expect("px > 0 on a multi-unit component implies a cut exists");
     let mut cost = p.params.expand_cost;
     let mut upper = mask;

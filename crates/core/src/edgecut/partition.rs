@@ -182,13 +182,17 @@ fn materialize(
         if arena.partition_of[i] != u32::MAX {
             continue;
         }
-        // lint: allow(no-unwrap) — skip(1) leaves only non-root members,
-        // whose nav parents exist by tree construction
+        #[expect(
+            clippy::expect_used,
+            reason = "skip(1) leaves only non-root members, whose nav parents exist by tree construction"
+        )]
         let parent = nav.parent(n).expect("non-root nodes have parents");
+        #[expect(
+            clippy::expect_used,
+            reason = "components are parent-closed: the stamped map covers every member's parent (debug-checked below)"
+        )]
         let pi = map
             .get(parent.index())
-            // lint: allow(no-unwrap) — components are parent-closed: the
-            // stamped map covers every member's parent (debug-checked below)
             .expect("parents of non-root component members are in the component")
             as usize;
         debug_assert!(
@@ -367,12 +371,14 @@ pub mod oracle {
                 // Detach the heaviest child cluster as a finished partition.
                 // `max_by_key` keeps the *last* maximum on ties, matching the
                 // original implementation's tie-breaking exactly.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the while condition just checked cluster_children[i] is non-empty"
+                )]
                 let (pos, &heaviest) = arena.cluster_children[i]
                     .iter()
                     .enumerate()
                     .max_by_key(|(_, &c)| arena.cluster_weight[c])
-                    // lint: allow(no-unwrap) — the while condition just checked
-                    // cluster_children[i] is non-empty
                     .expect("non-empty");
                 arena.cluster_children[i].swap_remove(pos);
                 let w = arena.cluster_weight[heaviest];

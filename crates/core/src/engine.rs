@@ -158,11 +158,12 @@ pub mod pool {
                     })
                 })
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "task bodies are caught by fault::isolate above, so a worker thread itself never panics; join can only fail if the runtime is broken"
+            )]
             handles
                 .into_iter()
-                // lint: allow(no-unwrap) — task bodies are caught by
-                // fault::isolate above, so a worker thread itself never
-                // panics; join can only fail if the runtime is broken
                 .map(|h| h.join().expect("pool worker thread panicked"))
                 .collect()
         });
@@ -172,10 +173,12 @@ pub mod pool {
                 slots[i] = Some(v);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "fetch_add hands each index to exactly one worker, so every slot is filled by construction"
+        )]
         slots
             .into_iter()
-            // lint: allow(no-unwrap) — fetch_add hands each index to exactly
-            // one worker, so every slot is filled by construction
             .map(|s| s.expect("every task index is claimed exactly once"))
             .collect()
     }
@@ -902,8 +905,10 @@ where
             }
 
             // Leader: build with no lock held but the flight slot's.
-            // lint: allow(no-unwrap) — joined is None here, so the registry
-            // match above took the Vacant arm and latched the fresh slot
+            #[expect(
+                clippy::expect_used,
+                reason = "joined is None here, so the registry match above took the Vacant arm and latched the fresh slot"
+            )]
             let mut slot_guard = slot_guard.expect("non-joiner holds the latch");
             let built = fault::isolate(|| {
                 // Failpoint: tree build (DESIGN.md §5f).

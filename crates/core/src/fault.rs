@@ -16,8 +16,8 @@
 //!    discipline as the [`trace`](crate::trace) span sites, and covered by
 //!    the same CI overhead gate (`scripts/perf_gate.sh`).
 //! 2. **Panic isolation** — [`isolate`] is the *only* place in first-party
-//!    code where `catch_unwind` appears (enforced by the `no-catch-unwind`
-//!    lint rule). The worker pool and the engine's EXPAND path run
+//!    code where `catch_unwind` appears (enforced by clippy's
+//!    `disallowed_methods` list in `clippy.toml`). The worker pool and the engine's EXPAND path run
 //!    potentially-panicking work through it, convert escaped panics into
 //!    typed errors, and quarantine the affected session instead of
 //!    aborting the batch.
@@ -421,22 +421,29 @@ pub const INJECTED_PANIC_PREFIX: &str = "injected fault:";
 /// Panic with a recognizable payload for a fired [`Fault::Panic`]. Callers
 /// must be running inside [`isolate`]; the engine turns the caught payload
 /// into a typed error and quarantines the session.
+#[expect(
+    clippy::panic,
+    reason = "this IS the deliberate injected panic; every caller is contractually inside a fault::isolate region"
+)]
 pub fn injected_panic(site: FailSite) -> ! {
-    // lint: allow(no-unwrap) — this IS the deliberate injected panic; every
-    // caller is contractually inside a fault::isolate region
     panic!("{INJECTED_PANIC_PREFIX} {}", site.name())
 }
 
 /// Run `f`, converting an escaped panic into `Err(payload message)`.
 ///
-/// This is the **only** first-party home of `catch_unwind` (lint rule
-/// `no-catch-unwind`): centralizing it keeps the unwind boundary auditable
-/// and forces every caller through the quarantine/typed-error discipline.
-/// `AssertUnwindSafe` is sound here because callers treat the closure's
-/// state as poisoned on `Err` — the engine quarantines the session, the
-/// pool discards the task slot — so no broken invariant is ever observed.
+/// This is the **only** first-party home of `catch_unwind` (clippy's
+/// `disallowed_methods` rejects it everywhere else): centralizing it keeps
+/// the unwind boundary auditable and forces every caller through the
+/// quarantine/typed-error discipline. `AssertUnwindSafe` is sound here
+/// because callers treat the closure's state as poisoned on `Err` — the
+/// engine quarantines the session, the pool discards the task slot — so no
+/// broken invariant is ever observed.
 #[cfg(not(interleave))]
 pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned unwind boundary: injected panics, quarantine accounting and the session_panics counter all flow through here"
+    )]
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()

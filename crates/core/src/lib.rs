@@ -33,7 +33,7 @@
 //!    and property-tested.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod active;
 pub mod admission;

@@ -384,6 +384,10 @@ where
         let extra = workers % busy.len();
         let mut results: Vec<Option<Result<ScriptOutcome, EngineError>>> =
             (0..jobs.len()).map(|_| None).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "a shard replay thread can only die if Engine::replay itself panicked, which the pool's isolation contract rules out; propagate loudly rather than invent a typed error for it"
+        )]
         let shard_outs: Vec<(usize, Vec<Result<ScriptOutcome, EngineError>>)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = busy
@@ -399,10 +403,6 @@ where
                     .collect();
                 handles
                     .into_iter()
-                    // lint: allow(no-unwrap) — a shard replay thread can
-                    // only die if Engine::replay itself panicked, which
-                    // the pool's isolation contract rules out; propagate
-                    // loudly rather than invent a typed error for it.
                     .map(|h| h.join().expect("shard replay thread panicked"))
                     .collect()
             });
@@ -411,11 +411,12 @@ where
                 results[j] = Some(out);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the partition above assigns every job index to exactly one shard slice, so every slot is filled; a hole is a router bug worth a loud abort"
+        )]
         results
             .into_iter()
-            // lint: allow(no-unwrap) — the partition above assigns every
-            // job index to exactly one shard slice, so every slot is
-            // filled; a hole is a router bug worth a loud abort.
             .map(|r| r.expect("every job was assigned to exactly one shard"))
             .collect()
     }
@@ -483,7 +484,8 @@ const _: () = {
     assert_send_sync::<ShardSessionId>();
 };
 
-#[cfg(all(test, not(interleave)))]
+#[cfg(test)]
+#[cfg(not(interleave))]
 mod tests {
     use super::*;
     use crate::cost::CostParams;

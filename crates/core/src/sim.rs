@@ -94,9 +94,11 @@ pub fn simulate_bionav(
         let mut guard = 0usize;
         while !active.is_visible(target) {
             let root = active.component_root_of(target);
+            #[expect(
+                clippy::expect_used,
+                reason = "!is_visible(target) means root's component strictly contains target, hence ≥ 2 nodes"
+            )]
             let out = heuristic_reduced_opt(nav, &active, root, params)
-                // lint: allow(no-unwrap) — !is_visible(target) means root's
-                // component strictly contains target, hence ≥ 2 nodes
                 .expect("a component hiding another node has ≥ 2 nodes");
             let cut = if out.cut.is_empty() {
                 // Degenerate safety net; expand_component never returns an
@@ -116,10 +118,12 @@ pub fn simulate_bionav(
                 elapsed: out.elapsed,
                 fallback: out.fallback,
             });
+            #[expect(
+                clippy::expect_used,
+                reason = "the cut either came from the planner (validated) or is the full child set of root"
+            )]
             active
                 .expand(nav, root, &cut)
-                // lint: allow(no-unwrap) — the cut either came from the
-                // planner (validated) or is the full child set of root
                 .expect("heuristic cuts are valid");
             guard += 1;
             assert!(guard <= nav.len(), "expansion loop failed to make progress");

@@ -22,8 +22,9 @@
 //! tape entry carries, plus the black-box ring of completed-request
 //! summaries.
 //!
-//! All wall-clock reads in the workspace flow through [`now_ns`]; the
-//! `no-naked-instant` lint rule forbids `Instant::now()` elsewhere.
+//! All wall-clock reads in the workspace flow through [`now_ns`]; clippy's
+//! `disallowed_methods` list in `clippy.toml` forbids `Instant::now()` and
+//! `SystemTime::now()` elsewhere.
 //!
 //! Under `--cfg interleave` the process-global ring is compiled out (and
 //! the capture tape is never armed, since its drain feeds the modeled
@@ -58,9 +59,13 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Nanoseconds since the process trace epoch.
 ///
 /// This is the single instrumented wall-clock source for the workspace
-/// (enforced by the `no-naked-instant` lint rule): every latency number in
+/// (enforced by clippy's `disallowed_methods`): every latency number in
 /// telemetry, tracing, and the benches derives from it.
 pub fn now_ns() -> u64 {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trace epoch is the workspace's one sanctioned clock read"
+    )]
     let epoch = EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

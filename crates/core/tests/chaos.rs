@@ -20,7 +20,6 @@
 //! seed reproduces locally with the same env var.
 
 #![cfg(not(interleave))]
-#![forbid(unsafe_code)]
 
 use std::sync::{Arc, Mutex, MutexGuard, Once};
 

@@ -41,7 +41,6 @@
 //! proving the checker finds real races in this exact build configuration.
 
 #![cfg(interleave)]
-#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 
@@ -57,7 +56,7 @@ use interleave::{check, Config};
 /// Run a model to completion and insist the bounded schedule tree was
 /// exhausted with zero findings (the issue's acceptance criterion).
 fn explore(name: &str, cfg: Config, f: impl Fn() + Send + Sync + 'static) {
-    let start = std::time::Instant::now();
+    let start = bionav_core::trace::now_ns();
     match check(cfg, f) {
         Ok(report) => {
             assert!(
@@ -68,7 +67,7 @@ fn explore(name: &str, cfg: Config, f: impl Fn() + Send + Sync + 'static) {
             println!(
                 "{name}: {} schedules explored to completion in {:?}",
                 report.executions,
-                start.elapsed()
+                std::time::Duration::from_nanos(bionav_core::trace::now_ns() - start)
             );
         }
         Err(failure) => panic!("{name}: {failure}"),

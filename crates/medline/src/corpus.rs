@@ -76,8 +76,10 @@ pub fn generate(hierarchy: &ConceptHierarchy, cfg: &CorpusConfig) -> CitationSto
             Some(*acc)
         })
         .collect();
-    // lint: allow(no-unwrap) — generate() is only called with a validated,
-    // non-empty hierarchy (ConceptHierarchy guarantees ≥ 1 node)
+    #[expect(
+        clippy::expect_used,
+        reason = "generate() is only called with a validated, non-empty hierarchy (ConceptHierarchy guarantees ≥ 1 node)"
+    )]
     let total_weight = *cumulative.last().expect("non-empty hierarchy");
 
     let zipf = ZipfSampler {
@@ -97,10 +99,12 @@ pub fn generate(hierarchy: &ConceptHierarchy, cfg: &CorpusConfig) -> CitationSto
             focus,
             &zipf,
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "ids come from a local counter, so the duplicate-id error is unreachable in the generator"
+        )]
         store
             .insert(citation)
-            // lint: allow(no-unwrap) — ids come from a local counter, so the
-            // duplicate-id error is unreachable in the generator
             .expect("generated citation ids are sequential and unique");
     }
     store

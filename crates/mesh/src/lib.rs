@@ -25,7 +25,7 @@
 //! shared across sessions.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod concept;
 mod error;

@@ -97,9 +97,11 @@ pub fn generate_descriptors(cfg: &SynthConfig) -> Vec<Descriptor> {
     let per_category = (cfg.approx_size.max(cfg.top_categories)) / cfg.top_categories;
     for cat in 0..cfg.top_categories {
         let letter = (b'A' + (cat % 26) as u8) as char;
+        #[expect(
+            clippy::expect_used,
+            reason = "the format string always yields `<letter><2 digits>`, the grammar's category form"
+        )]
         let root_tn = TreeNumber::parse(&format!("{letter}{:02}", cat / 26 + 1))
-            // lint: allow(no-unwrap) — the format string always yields
-            // `<letter><2 digits>`, the grammar's category form
             .expect("generated category numbers are valid");
         // ±25% jitter keeps categories from being eerily equal-sized.
         let jitter = rng.gen_range(0.75..1.25);

@@ -107,11 +107,13 @@ impl TreeNumber {
 
     /// The top-level category segment, e.g. `C04` for `C04.557.337`.
     pub fn category(&self) -> &str {
+        #[expect(
+            clippy::expect_used,
+            reason = "split() always yields at least one piece, and parse() rejected empty raw strings"
+        )]
         self.raw
             .split('.')
             .next()
-            // lint: allow(no-unwrap) — split() always yields at least one
-            // piece, and parse() rejected empty raw strings
             .expect("tree numbers have at least one segment")
     }
 }

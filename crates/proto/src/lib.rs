@@ -26,7 +26,7 @@
 //!   [`Conn::feed_bytes`] returns [`ProtoError::FrameTooLarge`] and the
 //!   connection latches dead ([`ProtoError::ConnectionDead`] thereafter).
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
@@ -282,9 +282,10 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 fn to_json<T: Serialize>(msg: &T) -> String {
-    // lint: allow(no-unwrap) — serializing our own derived message types
-    // cannot fail (no non-string map keys, no non-finite floats on the
-    // encode path's own structure).
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing our own derived message types cannot fail (no non-string map keys, no non-finite floats on the encode path's own structure)"
+    )]
     serde_json::to_string(msg).expect("proto message serialization is infallible")
 }
 

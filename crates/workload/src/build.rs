@@ -2,10 +2,6 @@
 //! citation store and keyword index whose statistical surface matches
 //! Table I.
 //!
-//! lint: allow-file(no-unwrap) — offline fixture builder: every expect()
-//! asserts a property the generator itself just established; failing fast
-//! with the message is the desired behavior for a corrupt workload.
-//!
 //! For every query the generator:
 //!
 //! 1. pins the *target concept*: a hierarchy descriptor at the specified
@@ -24,6 +20,12 @@
 //!    probability.
 //!
 //! Everything is deterministic in [`WorkloadConfig::seed`].
+
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "offline fixture builder: every expect() asserts a property the generator itself just established; failing fast with the message is the desired behavior for a corrupt workload"
+)]
 
 use std::collections::HashSet;
 
@@ -790,14 +792,15 @@ mod tests {
         };
         let w = Workload::build(&cfg);
         let run = w.run_query("follistatin");
-        let started = std::time::Instant::now();
+        let started = bionav_core::trace::now_ns();
         let sim = bionav_core::sim::simulate_bionav(
             &run.nav,
             &bionav_core::CostParams::default(),
             &[run.target],
         );
         assert!(sim.outcome.expands >= 1);
-        let per_expand = started.elapsed() / sim.outcome.expands.max(1) as u32;
+        let elapsed = std::time::Duration::from_nanos(bionav_core::trace::now_ns() - started);
+        let per_expand = elapsed / sim.outcome.expands.max(1) as u32;
         assert!(
             per_expand < std::time::Duration::from_secs(2),
             "expansions degraded to {per_expand:?}"

@@ -62,10 +62,12 @@ impl QueryEval {
 /// # Panics
 /// Panics on unknown names (workload construction guarantees the rest).
 pub fn evaluate_query(workload: &Workload, name: &str, params: &CostParams) -> QueryEval {
+    #[expect(
+        clippy::panic,
+        reason = "documented panic contract of this fn (see `# Panics` above); callers iterate the workload's own query names"
+    )]
     let prepared = workload
         .query(name)
-        // lint: allow(no-unwrap) — documented panic contract of this fn (see
-        // `# Panics` above); callers iterate the workload's own query names
         .unwrap_or_else(|| panic!("unknown query {name:?}"));
     let run = workload.run_query(name);
     let table1 = Table1Row {

@@ -2,7 +2,10 @@
 //!
 //! A small hand-rolled Rust scanner (no rustc plumbing, no external deps)
 //! enforcing project rules that `clippy -D warnings` cannot express —
-//! contracts introduced by the concurrent serving work (DESIGN.md §5d):
+//! contracts introduced by the concurrent serving work (DESIGN.md §5d).
+//! The contracts rustc and clippy can check (no unsafe, no unwrap in
+//! library code, one clock, one unwind boundary) live in the workspace
+//! lint table and `clippy.toml` instead.
 //!
 //! * [`rules::RULES`] is the machine-readable rule table (`cargo xtask
 //!   rules --json`).
@@ -12,20 +15,20 @@
 //! Violations are suppressed with an explicit, *reasoned* annotation:
 //!
 //! ```text
-//! // lint: allow(no-unwrap) — worker threads never panic: f is caught upstream
-//! // lint: allow-file(no-unwrap) — REPL surface: prompts assume a live session
+//! // lint: allow(lock-across-solve) — per-session lock: one navigator per session
 //! ```
 //!
-//! `allow(<rule>)` covers its own line and the next code line (a multi-line
-//! reason comment is spanned); `allow-file(<rule>)` covers the whole file. A reason after an em dash / hyphen / colon is
-//! mandatory — reasonless annotations are ignored and the violation fires.
+//! An annotation covers its own line and the next code line (a multi-line
+//! reason comment is spanned). A reason after an em dash / hyphen / colon
+//! is mandatory — reasonless annotations are ignored and the violation
+//! fires.
 //!
 //! The scanner lexes real Rust line-by-line (nested block comments, string
 //! and char literals, raw strings, lifetime-vs-char disambiguation), so
 //! patterns inside strings, comments, or doc text never trigger rules, and
 //! `#[cfg(test)]` regions are tracked by brace depth and skipped.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod analyze;

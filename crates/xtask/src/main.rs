@@ -9,8 +9,6 @@
 //!   (lock-order, proto-drift, coverage) and exit non-zero on any finding;
 //!   `--json` emits `{findings, matrix}` for the CI artifact.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -23,13 +23,6 @@ pub struct Rule {
 /// The rule table, in evaluation order.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "no-unwrap",
-        summary: "no .unwrap() / .expect() / panic!() in non-test library code",
-        scope: "library sources (bins and #[cfg(test)] regions exempt)",
-        rationale: "a serving engine must degrade, not abort; structural invariants use an \
-                    annotated expect with a stated reason",
-    },
-    Rule {
         id: "atomic-ordering",
         summary: "atomic RMW ops pass an explicit Ordering, and every Ordering use carries a \
                   nearby justification comment",
@@ -67,29 +60,6 @@ pub const RULES: &[Rule] = &[
                     decouple — and a guard across two shards' calls is a lock-order deadlock \
                     waiting for a second caller",
     },
-    Rule {
-        id: "no-naked-instant",
-        summary: "no Instant::now() / SystemTime::now() outside the trace module and telemetry.rs",
-        scope: "all first-party sources except crates/core/src/trace/ and telemetry.rs",
-        rationale: "serve-path timing must flow through trace::now_ns() (one monotone epoch) so \
-                    spans, histograms, and exporters agree; ad-hoc clock reads drift from the \
-                    trace plane and dodge the overhead budget",
-    },
-    Rule {
-        id: "no-catch-unwind",
-        summary: "no std::panic::catch_unwind outside crates/core/src/fault.rs",
-        scope: "all first-party sources except crates/core/src/fault.rs",
-        rationale: "panic isolation is a policy decision, not a local convenience: every unwind \
-                    boundary must flow through fault::isolate so injected panics, quarantine \
-                    accounting, and the session_panics counter stay in one place",
-    },
-    Rule {
-        id: "forbid-unsafe",
-        summary: "every crate root declares #![forbid(unsafe_code)]",
-        scope: "crate roots: src/lib.rs, src/main.rs, src/bin/*.rs",
-        rationale: "the workspace is 100% safe Rust; forbid makes that a compile-time guarantee \
-                    instead of a review convention",
-    },
 ];
 
 /// One rule violation.
@@ -119,8 +89,6 @@ impl std::fmt::Display for Finding {
 /// Shared with the `analyze` passes, which honor the same annotation
 /// grammar for their own rule ids (`lock-order`, …).
 pub struct Allows {
-    /// Rules disabled for the whole file.
-    file: Vec<String>,
     /// Rules disabled per line (an annotation covers its own line and the
     /// next code line, spanning intervening comment-only lines).
     line: Vec<Vec<String>>,
@@ -129,25 +97,18 @@ pub struct Allows {
 impl Allows {
     /// Whether `rule` is suppressed on the 0-based line `line_idx`.
     pub fn allowed(&self, line_idx: usize, rule: &str) -> bool {
-        self.file.iter().any(|r| r == rule)
-            || self
-                .line
-                .get(line_idx)
-                .is_some_and(|rs| rs.iter().any(|r| r == rule))
+        self.line
+            .get(line_idx)
+            .is_some_and(|rs| rs.iter().any(|r| r == rule))
     }
 }
 
-/// Parse one comment for an annotation. Returns `(rule, file_level)` when
-/// present *and* carrying a non-empty reason; reasonless annotations are
-/// ignored so the underlying violation still fires.
-fn parse_allow(comment: &str) -> Option<(String, bool)> {
+/// Parse one comment for an annotation. Returns the rule id when present
+/// *and* carrying a non-empty reason; reasonless annotations are ignored so
+/// the underlying violation still fires.
+fn parse_allow(comment: &str) -> Option<String> {
     let at = comment.find("lint: allow")?;
-    let rest = &comment[at + "lint: allow".len()..];
-    let (file_level, rest) = match rest.strip_prefix("-file") {
-        Some(r) => (true, r),
-        None => (false, rest),
-    };
-    let rest = rest.trim_start();
+    let rest = comment[at + "lint: allow".len()..].trim_start();
     let inner = rest.strip_prefix('(')?;
     let close = inner.find(')')?;
     let rule = inner[..close].trim().to_string();
@@ -164,34 +125,29 @@ fn parse_allow(comment: &str) -> Option<(String, bool)> {
     if reason.is_empty() {
         return None;
     }
-    Some((rule, file_level))
+    Some(rule)
 }
 
 /// Collects every reasoned `// lint: allow(...)` annotation of a file into
 /// a per-line lookup structure.
 pub fn collect_allows(lines: &[Line]) -> Allows {
-    let mut file = Vec::new();
     let mut line: Vec<Vec<String>> = vec![Vec::new(); lines.len()];
     for (i, l) in lines.iter().enumerate() {
-        if let Some((rule, file_level)) = parse_allow(&l.comment) {
-            if file_level {
-                file.push(rule);
-            } else {
-                line[i].push(rule.clone());
-                // Extend over comment-only / blank lines so a multi-line
-                // reason still covers the next code line.
-                let mut j = i + 1;
-                while j < lines.len() && lines[j].code.trim().is_empty() {
-                    line[j].push(rule.clone());
-                    j += 1;
-                }
-                if j < lines.len() {
-                    line[j].push(rule);
-                }
+        if let Some(rule) = parse_allow(&l.comment) {
+            line[i].push(rule.clone());
+            // Extend over comment-only / blank lines so a multi-line reason
+            // still covers the next code line.
+            let mut j = i + 1;
+            while j < lines.len() && lines[j].code.trim().is_empty() {
+                line[j].push(rule.clone());
+                j += 1;
+            }
+            if j < lines.len() {
+                line[j].push(rule);
             }
         }
     }
-    Allows { file, line }
+    Allows { line }
 }
 
 /// Does this line's code carry a `#[cfg(...)]` attribute that enables the
@@ -260,12 +216,6 @@ pub fn test_regions(lines: &[Line]) -> Vec<bool> {
     in_test
 }
 
-const UNWRAP_PATTERNS: &[(&str, &str)] = &[
-    (".unwrap()", "unwrap() in library code"),
-    (".expect(", "expect() in library code"),
-    ("panic!(", "panic!() in library code"),
-];
-
 const RMW_PATTERNS: &[&str] = &[
     ".fetch_add(",
     ".fetch_sub(",
@@ -304,11 +254,6 @@ const HOTPATH_PATTERNS: &[(&str, &str)] = &[
         ".contains(&",
         "O(n) .contains(&…) scan in a latency-budgeted hot path",
     ),
-];
-
-const CLOCK_PATTERNS: &[(&str, &str)] = &[
-    ("Instant::now(", "naked Instant::now() read"),
-    ("SystemTime::now(", "naked SystemTime::now() read"),
 ];
 
 /// Member-[`Engine`] entry points as seen from the sharded router: a lock
@@ -359,19 +304,9 @@ fn guard_name(code: &str) -> Option<String> {
     }
 }
 
-fn is_crate_root(path: &str) -> bool {
-    path.ends_with("src/lib.rs")
-        || path.ends_with("src/main.rs")
-        || (path.contains("/src/bin/") && path.ends_with(".rs"))
-}
-
-fn is_bin(path: &str) -> bool {
-    path.contains("/src/bin/") || path.ends_with("main.rs")
-}
-
 /// Lint one source file. `path` is workspace-relative and drives scoping
-/// (bin exemption, hot-path regions, crate-root detection) — fixture tests
-/// pass virtual paths.
+/// (the hot-path regions and the sharded router) — fixture tests pass
+/// virtual paths.
 pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
     let lines = lexer::split(src);
     let allows = collect_allows(&lines);
@@ -386,33 +321,10 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
         });
     };
 
-    // forbid-unsafe: crate roots must carry the attribute.
-    if is_crate_root(path)
-        && !lines
-            .iter()
-            .any(|l| l.code.contains("#![forbid(unsafe_code)]"))
-    {
-        push(
-            0,
-            "forbid-unsafe",
-            "crate root lacks #![forbid(unsafe_code)]".to_string(),
-        );
-    }
-
-    let bin = is_bin(path);
     // The two latency-budgeted regions: the EXPAND hot path (edgecut) and
     // the cold-open tree build (navtree), which is additionally required to
     // be bit-deterministic — hash iteration order would break that too.
     let hotpath = path.contains("/edgecut/") || path.ends_with("core/src/navtree.rs");
-    // The trace module and the latency histograms are the two places that
-    // legitimately read the raw clock; everything else goes through
-    // trace::now_ns() so all timing shares one monotone epoch.
-    let clock_exempt =
-        path.contains("/trace/") || path.ends_with("trace.rs") || path.ends_with("telemetry.rs");
-    // fault::isolate is the single sanctioned unwind boundary; everywhere
-    // else panic isolation must be delegated so the quarantine accounting
-    // cannot be bypassed.
-    let unwind_exempt = path.ends_with("core/src/fault.rs");
     // The sharded router: the one file where a lock guard spanning an
     // Engine entry point breaks the shard-independence invariant.
     let shard_scope = path.ends_with("core/src/shard.rs");
@@ -440,19 +352,6 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
             shard_guards.retain(|g| depth_after >= g.depth);
             depth = depth_after;
             continue;
-        }
-
-        // no-unwrap -------------------------------------------------------
-        if !bin {
-            for (pat, what) in UNWRAP_PATTERNS {
-                if code.contains(pat) && !allows.allowed(i, "no-unwrap") {
-                    push(
-                        i,
-                        "no-unwrap",
-                        format!("{what}; return a typed error or annotate the invariant"),
-                    );
-                }
-            }
         }
 
         // atomic-ordering --------------------------------------------------
@@ -496,30 +395,6 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
                         format!(
                             "{what}; route through the scratch.rs arenas or flat sorted columns"
                         ),
-                    );
-                }
-            }
-        }
-
-        // no-catch-unwind --------------------------------------------------
-        if !unwind_exempt && code.contains("catch_unwind") && !allows.allowed(i, "no-catch-unwind")
-        {
-            push(
-                i,
-                "no-catch-unwind",
-                "catch_unwind outside fault.rs; route panic isolation through fault::isolate"
-                    .to_string(),
-            );
-        }
-
-        // no-naked-instant -------------------------------------------------
-        if !clock_exempt {
-            for (pat, what) in CLOCK_PATTERNS {
-                if code.contains(pat) && !allows.allowed(i, "no-naked-instant") {
-                    push(
-                        i,
-                        "no-naked-instant",
-                        format!("{what}; use bionav_core::trace::now_ns() or a trace span"),
                     );
                 }
             }

@@ -4,6 +4,8 @@
 //! issue requires: the lint pass must fail on each seeded violation and
 //! stay silent on the allowlisted/negative twins.
 
+use std::path::{Path, PathBuf};
+
 use xtask::scan_source;
 
 /// Rule ids fired per (line, rule) pair, sorted.
@@ -21,58 +23,6 @@ fn rules_only(path: &str, src: &str) -> Vec<&'static str> {
     v.sort();
     v.dedup();
     v
-}
-
-// ---------------------------------------------------------------------------
-// no-unwrap
-// ---------------------------------------------------------------------------
-
-#[test]
-fn no_unwrap_fires_on_each_pattern() {
-    let src = include_str!("../fixtures/no_unwrap_violation.rs");
-    let hits = hits("crates/core/src/fixture.rs", src);
-    assert_eq!(
-        hits,
-        vec![(3, "no-unwrap"), (4, "no-unwrap"), (6, "no-unwrap")],
-        "unwrap/expect/panic must each fire exactly once"
-    );
-}
-
-#[test]
-fn no_unwrap_honors_annotations_and_test_mods() {
-    let src = include_str!("../fixtures/no_unwrap_allowed.rs");
-    let hits = hits("crates/core/src/fixture.rs", src);
-    // Only the reasonless annotation's unwrap (line 16) may fire.
-    assert_eq!(
-        hits,
-        vec![(16, "no-unwrap")],
-        "annotated + trailing-annotated + test-mod uses must be silent; \
-         a reasonless annotation must not suppress"
-    );
-}
-
-#[test]
-fn no_unwrap_allow_file_covers_whole_file() {
-    let src = include_str!("../fixtures/no_unwrap_allow_file.rs");
-    assert!(
-        hits("crates/core/src/fixture.rs", src).is_empty(),
-        "allow-file must cover every occurrence"
-    );
-}
-
-#[test]
-fn no_unwrap_ignores_strings_comments_docs() {
-    let src = include_str!("../fixtures/no_unwrap_in_strings.rs");
-    assert!(hits("crates/core/src/fixture.rs", src).is_empty());
-}
-
-#[test]
-fn no_unwrap_exempts_bins() {
-    let src = include_str!("../fixtures/no_unwrap_violation.rs");
-    assert!(
-        !rules_only("crates/cli/src/bin/tool.rs", src).contains(&"no-unwrap"),
-        "bin targets are exempt from no-unwrap"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -114,6 +64,18 @@ fn hotpath_rule_is_scoped_to_edgecut_and_navtree() {
     assert!(
         hits("crates/core/src/session.rs", src).is_empty(),
         "outside the two hot-path regions the same code is fine"
+    );
+}
+
+#[test]
+fn hotpath_rule_ignores_literals_comments_docs_and_test_mods() {
+    let src = include_str!("../fixtures/hotpath_exempt.rs");
+    assert_eq!(
+        hits("crates/core/src/edgecut/fixture.rs", src),
+        vec![(20, "hotpath-no-hashmap")],
+        "patterns in strings, raw strings, comments, doc text and test mods must be \
+         silent, as must a trailing reasoned annotation; a reasonless annotation must \
+         not suppress"
     );
 }
 
@@ -162,118 +124,6 @@ fn cross_shard_lock_is_scoped_to_shard_rs() {
 }
 
 // ---------------------------------------------------------------------------
-// no-catch-unwind
-// ---------------------------------------------------------------------------
-
-#[test]
-fn catch_unwind_fires_outside_fault_rs() {
-    let src = include_str!("../fixtures/catch_unwind_violation.rs");
-    let hits = hits("crates/core/src/engine.rs", src);
-    assert_eq!(
-        hits,
-        vec![(5, "no-catch-unwind"), (10, "no-catch-unwind")],
-        "both call spellings must fire; comment/string mentions, the \
-         annotated boundary, and test-mod asserts must be silent"
-    );
-}
-
-#[test]
-fn catch_unwind_is_sanctioned_in_fault_rs() {
-    // The fault-exempt twin: the *same* source scanned under the registry's
-    // path produces no findings — fault::isolate is the one unwind home.
-    let src = include_str!("../fixtures/catch_unwind_violation.rs");
-    assert!(
-        !rules_only("crates/core/src/fault.rs", src).contains(&"no-catch-unwind"),
-        "crates/core/src/fault.rs is the sanctioned catch_unwind home"
-    );
-}
-
-#[test]
-fn catch_unwind_applies_to_bins_too() {
-    let src = include_str!("../fixtures/catch_unwind_violation.rs");
-    assert!(
-        rules_only("crates/cli/src/bin/tool.rs", src).contains(&"no-catch-unwind"),
-        "bins must not swallow panics either; quarantine accounting lives in fault.rs"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// forbid-unsafe
-// ---------------------------------------------------------------------------
-
-#[test]
-fn forbid_unsafe_checks_crate_roots_only() {
-    let missing = include_str!("../fixtures/forbid_missing.rs");
-    let present = include_str!("../fixtures/forbid_present.rs");
-    assert_eq!(
-        rules_only("crates/core/src/lib.rs", missing),
-        vec!["forbid-unsafe"]
-    );
-    assert_eq!(
-        rules_only("crates/cli/src/bin/tool.rs", missing),
-        vec!["forbid-unsafe"],
-        "bin roots are crate roots too"
-    );
-    assert!(rules_only("crates/core/src/lib.rs", present).is_empty());
-    assert!(
-        rules_only("crates/core/src/session.rs", missing).is_empty(),
-        "non-root modules need no attribute"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// no-naked-instant
-// ---------------------------------------------------------------------------
-
-#[test]
-fn naked_instant_fires_on_raw_clock_reads() {
-    let src = include_str!("../fixtures/naked_instant_violation.rs");
-    let hits = hits("crates/core/src/engine.rs", src);
-    assert_eq!(
-        hits,
-        vec![(5, "no-naked-instant"), (10, "no-naked-instant")],
-        "Instant::now and SystemTime::now must each fire exactly once"
-    );
-}
-
-#[test]
-fn naked_instant_applies_to_bins_too() {
-    let src = include_str!("../fixtures/naked_instant_violation.rs");
-    assert!(
-        rules_only("crates/bench/src/bin/reproduce.rs", src).contains(&"no-naked-instant"),
-        "bins time the serve path; the clock rule must cover them"
-    );
-}
-
-#[test]
-fn naked_instant_honors_annotations_and_test_mods() {
-    let src = include_str!("../fixtures/naked_instant_allowed.rs");
-    let hits = hits("crates/core/src/engine.rs", src);
-    // Only the reasonless annotation's read (line 11) may fire.
-    assert_eq!(
-        hits,
-        vec![(11, "no-naked-instant")],
-        "a reasoned allow and test-mod reads must be silent; \
-         a reasonless annotation must not suppress"
-    );
-}
-
-#[test]
-fn naked_instant_exempts_the_trace_module_and_telemetry() {
-    let src = include_str!("../fixtures/naked_instant_violation.rs");
-    for path in [
-        "crates/core/src/trace/mod.rs",
-        "crates/core/src/trace/ring.rs",
-        "crates/core/src/telemetry.rs",
-    ] {
-        assert!(
-            !rules_only(path, src).contains(&"no-naked-instant"),
-            "{path} is the clock's home; the rule must not fire there"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The rule table itself
 // ---------------------------------------------------------------------------
 
@@ -285,13 +135,9 @@ fn rule_table_is_complete_and_unique() {
         ids,
         vec![
             "atomic-ordering",
-            "forbid-unsafe",
             "hotpath-no-hashmap",
             "lock-across-solve",
-            "no-catch-unwind",
-            "no-cross-shard-lock",
-            "no-naked-instant",
-            "no-unwrap"
+            "no-cross-shard-lock"
         ]
     );
     for r in xtask::RULES {
@@ -303,11 +149,13 @@ fn rule_table_is_complete_and_unique() {
 // The workspace itself must be clean (same entry point CI uses).
 // ---------------------------------------------------------------------------
 
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
+}
+
 #[test]
 fn workspace_scan_is_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
+    let root = workspace_root();
     let findings = xtask::scan_workspace(&root).expect("workspace scan reads all sources");
     assert!(
         findings.is_empty(),
@@ -318,4 +166,64 @@ fn workspace_scan_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The `#![warn(...)]` every first-party library root carries: with the
+/// root `clippy.toml`'s `allow-*-in-tests`, it confines unwrap, expect and
+/// panic to tests, bins and reasoned `#[expect]` sites.
+const CLIPPY_TRIO: &str = "#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+
+/// Does `manifest` have a `[lints]` table that says `workspace = true`?
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+/// `unsafe_code = "forbid"` and the clippy configuration reach a package
+/// only through its manifest and library root, so a new crate that skips
+/// either would build unchecked.
+#[test]
+fn every_first_party_package_inherits_the_workspace_lints() {
+    assert!(
+        !inherits_workspace_lints("[package]\nname = \"x\"\n\n[lints.rust]\nworkspace = true\n"),
+        "only the `[lints]` table itself opts in"
+    );
+    let root = workspace_root();
+    let read = |p: &Path| std::fs::read_to_string(p).expect("first-party sources are readable");
+    let root_manifest = read(&root.join("Cargo.toml"));
+    assert!(
+        root_manifest.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""),
+        "the workspace lint table forbids unsafe code"
+    );
+    let mut packages = vec![root.clone()];
+    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .collect();
+    members.sort();
+    packages.extend(members);
+    for package in &packages {
+        let manifest = package.join("Cargo.toml");
+        assert!(
+            inherits_workspace_lints(&read(&manifest)),
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+        let lib = package.join("src").join("lib.rs");
+        if lib.is_file() {
+            assert!(
+                read(&lib).lines().any(|l| l.trim() == CLIPPY_TRIO),
+                "{} lacks `{CLIPPY_TRIO}`",
+                lib.display()
+            );
+        }
+    }
 }

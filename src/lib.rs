@@ -14,7 +14,7 @@
 //! See `examples/quickstart.rs` for an end-to-end tour. The README's code
 //! example is compiled as a doctest below.
 #![doc = include_str!("../README.md")]
-#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use bionav_core as core;
 pub use bionav_medline as medline;

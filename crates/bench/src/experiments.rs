@@ -792,8 +792,7 @@ impl ServeQueryRow {
 }
 
 /// The serving benches' tree builder: the workload's ESearch stand-in, then
-/// a lazy [`NavigationTree`] skeleton over the hits (`None` when there are
-/// none).
+/// a [`NavigationTree`] over the hits (`None` when there are none).
 fn tree_builder(
     workload: &Workload,
 ) -> impl Fn(&str) -> Option<bionav_core::SharedTree> + Send + Sync + '_ {

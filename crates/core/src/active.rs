@@ -166,6 +166,22 @@ impl ActiveTree {
         root: NavNodeId,
         out: &mut Vec<NavNodeId>,
     ) {
+        out.clear();
+        out.extend(self.members(nav, root));
+    }
+
+    /// The members of `root`'s component in pre-order, walking only the
+    /// root's pre-order range `root..subtree_end(root)`.
+    ///
+    /// A component is a connected subtree, so a node of the range that
+    /// belongs to another component is the top of a hole (a cut-away
+    /// component, with whatever was cut below it): the walk skips its
+    /// whole subtree in one jump.
+    fn members<'a>(
+        &'a self,
+        nav: &'a NavigationTree,
+        root: NavNodeId,
+    ) -> impl Iterator<Item = NavNodeId> + 'a {
         debug_assert_eq!(
             nav.len(),
             self.comp_root.len(),
@@ -175,16 +191,24 @@ impl ActiveTree {
             self.is_visible(root),
             "component queries take a component root"
         );
-        out.clear();
-        out.extend(
-            nav.iter_preorder()
-                .filter(|&n| self.comp_root[n.index()] == root),
-        );
+        let end = nav.subtree_end(root);
+        let mut i = root.0;
+        std::iter::from_fn(move || {
+            while i < end {
+                let n = NavNodeId(i);
+                if self.comp_root[n.index()] == root {
+                    i += 1;
+                    return Some(n);
+                }
+                i = nav.subtree_end(n);
+            }
+            None
+        })
     }
 
     /// Number of nodes in the component rooted at `root`.
-    pub fn component_size(&self, root: NavNodeId) -> usize {
-        self.comp_root.iter().filter(|&&r| r == root).count()
+    pub fn component_size(&self, nav: &NavigationTree, root: NavNodeId) -> usize {
+        self.members(nav, root).count()
     }
 
     /// Distinct citations in the component rooted at `root` — the count the
@@ -196,12 +220,15 @@ impl ActiveTree {
     /// The set of citations in the component rooted at `root`.
     pub fn component_set(&self, nav: &NavigationTree, root: NavNodeId) -> CitSet {
         let mut set = CitSet::new(nav.universe());
-        for (i, &r) in self.comp_root.iter().enumerate() {
-            if r == root {
-                set.union_with(nav.results(NavNodeId(i as u32)));
-            }
-        }
+        self.fold_component(nav, root, &mut set);
         set
+    }
+
+    /// `set ∪= ` the component's citations: the client-read fold, timed as
+    /// `Stage::Materialize`.
+    fn fold_component(&self, nav: &NavigationTree, root: NavNodeId, set: &mut CitSet) {
+        let _sp = crate::trace::span(crate::trace::Stage::Materialize);
+        nav.fold_results(self.members(nav, root), set);
     }
 
     /// Validates `cut` against the component rooted at `root` without
@@ -362,6 +389,7 @@ impl ActiveTree {
     /// pre-order, so parents precede children.
     pub fn visualize(&self, nav: &NavigationTree) -> Vec<VisNode> {
         let mut out = Vec::new();
+        let mut set = CitSet::new(nav.universe());
         for n in nav.iter_preorder() {
             if !self.is_visible(n) {
                 continue;
@@ -373,11 +401,13 @@ impl ActiveTree {
                 }
                 parent = nav.parent(p);
             }
+            set.clear();
+            self.fold_component(nav, n, &mut set);
             out.push(VisNode {
                 node: n,
                 parent,
-                component_distinct: self.component_distinct(nav, n),
-                expandable: self.component_size(n) > 1,
+                component_distinct: set.count(),
+                expandable: self.members(nav, n).nth(1).is_some(),
             });
         }
         out
@@ -521,7 +551,7 @@ mod tests {
         let (nav, _h) = fig3();
         let active = ActiveTree::new(&nav);
         assert!(active.is_visible(NavNodeId::ROOT));
-        assert_eq!(active.component_size(NavNodeId::ROOT), nav.len());
+        assert_eq!(active.component_size(&nav, NavNodeId::ROOT), nav.len());
         let vis = active.visualize(&nav);
         assert_eq!(vis.len(), 1);
         assert_eq!(vis[0].component_distinct, 10);
@@ -551,8 +581,8 @@ mod tests {
             vec!["BiologicalPhenomena", "CellPhysiology", "CellGrowth"]
         );
         // Lower component at CellDeath holds 4 nodes.
-        assert_eq!(active.component_size(death), 4);
-        assert_eq!(active.component_size(prolif), 2);
+        assert_eq!(active.component_size(&nav, death), 4);
+        assert_eq!(active.component_size(&nav, prolif), 2);
     }
 
     #[test]
@@ -653,7 +683,7 @@ mod tests {
         assert!(active.is_visible(bio));
         active.backtrack().unwrap();
         assert!(!active.is_visible(bio));
-        assert_eq!(active.component_size(NavNodeId::ROOT), nav.len());
+        assert_eq!(active.component_size(&nav, NavNodeId::ROOT), nav.len());
     }
 
     #[test]
@@ -667,7 +697,7 @@ mod tests {
         let set = active.component_set(&nav, bio);
         let mut manual = crate::bitset::CitSet::new(nav.universe());
         for n in active.component_nodes(&nav, bio) {
-            manual.union_with(nav.results(n));
+            manual.union_with(&nav.results(n));
         }
         assert_eq!(set.count(), manual.count());
         for i in manual.iter() {

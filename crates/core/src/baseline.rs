@@ -15,7 +15,8 @@ use crate::sim::NavOutcome;
 /// order a static interface lists them in.
 pub fn ranked_children(nav: &NavigationTree, node: NavNodeId) -> Vec<NavNodeId> {
     let mut kids: Vec<NavNodeId> = nav.children(node).to_vec();
-    kids.sort_by_key(|&c| std::cmp::Reverse(nav.subtree_distinct(c)));
+    // Each count is a fold over the child's subtree: take it once per child.
+    kids.sort_by_cached_key(|&c| std::cmp::Reverse(nav.subtree_distinct(c)));
     kids
 }
 

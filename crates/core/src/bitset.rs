@@ -41,6 +41,29 @@ impl CitSet {
         self.words[idx / 64] |= 1u64 << (idx % 64);
     }
 
+    /// Inserts every index of `idxs` — the bulk form of
+    /// [`insert`](Self::insert), one plain word write per index.
+    ///
+    /// # Panics
+    /// Panics if an index falls past the last word; debug builds also
+    /// check each index against `universe`.
+    #[inline]
+    pub(crate) fn insert_all(&mut self, idxs: &[u32]) {
+        debug_assert!(
+            idxs.iter().all(|&x| (x as usize) < self.universe),
+            "citation index out of universe {}",
+            self.universe
+        );
+        for &x in idxs {
+            self.words[x as usize / 64] |= 1u64 << (x % 64);
+        }
+    }
+
+    /// Removes every element, keeping the universe and the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Membership test.
     #[inline]
     pub fn contains(&self, idx: usize) -> bool {
@@ -165,6 +188,16 @@ mod tests {
         }
         let collected: Vec<usize> = s.iter().collect();
         assert_eq!(collected, vals);
+    }
+
+    #[test]
+    fn insert_all_and_clear() {
+        let mut s = CitSet::new(130);
+        s.insert_all(&[129, 0, 64, 0]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.universe(), 130);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::cost::CostParams;
 use crate::edgecut::counters;
 use crate::edgecut::opt::{CutProblem, SolveCache};
 use crate::edgecut::partition::{partition_until_in, Partition};
+use crate::fault::{self, FailSite};
 use crate::navtree::{NavNodeId, NavigationTree};
 use crate::scratch::{NavScratch, NodeMap};
 use crate::trace::{self, Stage};
@@ -368,10 +369,16 @@ pub fn expand_component(
 /// Builds the reduced-tree cut problem over the partitions. `parts[0]` is
 /// the root partition (guaranteed by
 /// [`partition_until`](crate::edgecut::partition::partition_until)), and
-/// `map` holds each component node's partition id. Citation unions and
-/// explore-weight sums run in one pass over the component in partition
-/// order — the same member order as the historical implementation, keeping
-/// the f64 sums bit-identical.
+/// `map` holds each component node's partition id. Each partition's
+/// citation set is one `NavigationTree::fold_results` over its
+/// pre-order members, and explore-weight sums run in the same member order
+/// as the historical implementation, keeping the f64 sums bit-identical.
+///
+/// The `tree_materialize` failpoint (DESIGN.md §5f/§5g) guards this fold:
+/// it has no error channel, so any armed fault fires as an injected panic,
+/// which the serve path's `fault::isolate` turns into a quarantined
+/// session. The fold writes only sets this call owns, so the next EXPAND
+/// on the same cached tree folds anew.
 fn reduced_problem(
     nav: &NavigationTree,
     parts: &[Partition],
@@ -383,6 +390,9 @@ fn reduced_problem(
     let mut sets: Vec<CitSet> = Vec::with_capacity(n);
     let mut member_count: Vec<u32> = Vec::with_capacity(n);
     let mut explore_weight: Vec<f64> = Vec::with_capacity(n);
+    if fault::hit(FailSite::TreeMaterialize).is_some() {
+        fault::injected_panic(FailSite::TreeMaterialize);
+    }
     for (i, p) in parts.iter().enumerate() {
         parent.push(if i == 0 {
             None
@@ -390,11 +400,11 @@ fn reduced_problem(
             Some(reduced_parent(nav, p, map))
         });
         let mut set = CitSet::new(nav.universe());
-        let mut ew = 0.0;
-        for &m in &p.nodes {
-            set.union_with(nav.results(m));
-            ew += nav.explore_weight(m);
-        }
+        nav.fold_results(p.nodes.iter().copied(), &mut set);
+        let ew = p
+            .nodes
+            .iter()
+            .fold(0.0, |ew, &m| ew + nav.explore_weight(m));
         sets.push(set);
         member_count.push(p.nodes.len() as u32);
         explore_weight.push(ew);
@@ -556,7 +566,7 @@ pub mod reference {
             let mut set = CitSet::new(nav.universe());
             let mut ew = 0.0;
             for &m in &p.nodes {
-                set.union_with(nav.results(m));
+                set.union_with(&nav.results(m));
                 ew += nav.explore_weight(m);
             }
             sets.push(set);
@@ -704,7 +714,7 @@ mod tests {
         loop {
             let target = nav
                 .iter_preorder()
-                .find(|&n| active.is_visible(n) && active.component_size(n) > 1);
+                .find(|&n| active.is_visible(n) && active.component_size(&nav, n) > 1);
             let Some(root) = target else { break };
             let out = heuristic_reduced_opt(&nav, &active, root, &params).unwrap();
             assert!(

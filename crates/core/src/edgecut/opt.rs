@@ -227,7 +227,7 @@ impl CutProblem {
                 }
             })
             .collect();
-        let sets: Vec<CitSet> = comp.iter().map(|&n| nav.results(n).clone()).collect();
+        let sets: Vec<CitSet> = comp.iter().map(|&n| nav.results(n)).collect();
         let explore_weight: Vec<f64> = comp.iter().map(|&n| nav.explore_weight(n)).collect();
         CutProblem::new(
             parent,

@@ -8,7 +8,7 @@
 //!
 //! 1. **Failpoints** — named injection sites ([`FailSite`]) threaded
 //!    through the serve path (solver entry, cut-cache probe, tree build,
-//!    lazy subtree materialization, session-lock acquisition, pool
+//!    the planner's citation-set fold, session-lock acquisition, pool
 //!    workers). A chaos test arms a seeded
 //!    [`FaultPlan`]; each site then fires a [`Fault`] on a deterministic
 //!    pseudo-random schedule. **Disarmed (the production default), a
@@ -57,10 +57,11 @@ pub enum FailSite {
     SessionLock = 3,
     /// A worker-pool task body (`engine::pool::scoped_map`).
     PoolWorker = 4,
-    /// First-touch materialization of a lazy navigation-tree subtree
-    /// (DESIGN.md §5g). Accessors have no error channel, so any armed
-    /// fault here fires as an injected panic inside the caller's
-    /// [`isolate`] region.
+    /// The citation-set fold EXPAND's planner runs over the partitions of
+    /// a fresh component, in `heuristic::reduced_problem` (DESIGN.md §5g).
+    /// The fold has no error channel, so any armed fault here fires as an
+    /// injected panic inside the caller's [`isolate`] region. The name is
+    /// kept from the lazy bitset payload the fold replaced.
     TreeMaterialize = 5,
 }
 

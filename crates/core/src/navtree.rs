@@ -17,14 +17,17 @@
 //! every subtree as a contiguous id range, `subtree_end` gives O(1)
 //! ancestry tests and allocation-light subtree walks.
 //!
-//! Construction is split in two: the **skeleton** (topology, labels,
-//! depths, result lists, counts, explore weights) is built eagerly in one
-//! pass over the hierarchy, while the **bitset payload** — the per-node
-//! `CitSet`s and cached subtree unions, the only O(nodes × universe) part —
-//! is materialized lazily per top-level subtree on first touch by an
-//! EXPAND or SHOWRESULTS (`Stage::Materialize` in the trace plane, the
-//! `tree_materialize` failpoint in the chaos plane). A cold `open_session`
-//! therefore costs O(attachments + hierarchy), not O(nodes × universe).
+//! The CSR result lists are the only representation of `R(n)`: the tree
+//! holds no per-node bitsets. Every citation set a verb needs — a
+//! component's distinct count for OPEN's visualization, a partition's
+//! union for EXPAND's reduced problem, the PMIDs SHOWRESULTS lists — is
+//! folded straight from the lists into a caller's [`CitSet`] by
+//! `NavigationTree::fold_results`. Because pre-order numbers a node run
+//! `a..b` consecutively, its lists are one contiguous slice
+//! `result_idx[result_off[a]..result_off[b]]`, and a subtree is a single
+//! such run. A cold `open_session` therefore costs O(attachments +
+//! hierarchy), and reads cost O(attachments they cover), never
+//! O(nodes × universe).
 //!
 //! ```
 //! use bionav_core::{NavigationTree, NavNodeId};
@@ -49,14 +52,10 @@
 //! # Ok::<(), bionav_mesh::MeshError>(())
 //! ```
 
-use std::sync::OnceLock;
-
 use bionav_medline::{CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, DescriptorId, HierarchyColumns, NodeId as HNodeId};
 
 use crate::bitset::CitSet;
-use crate::fault::{self, FailSite};
-use crate::trace::{self, Stage};
 
 /// Index of a node within a [`NavigationTree`]; the root is always id 0.
 #[derive(
@@ -79,41 +78,11 @@ impl NavNodeId {
 
 /// Sentinel in the `parent` column: the root has no parent.
 const NO_PARENT: u32 = u32::MAX;
-/// Sentinel in the `top_of` column: the root belongs to no top-level
-/// subtree.
-const NO_TOP: u32 = u32::MAX;
-
-/// The lazily-built bitset payload of one top-level subtree.
-#[derive(Debug, Clone)]
-struct SubtreeSets {
-    /// `R(n)` per node, indexed by `id - top.start`.
-    results: Vec<CitSet>,
-    /// Cached `∪ R(m)` over each node's full navigation subtree, same
-    /// indexing.
-    subtree: Vec<CitSet>,
-}
-
-/// One top-level subtree (a child of the root plus its descendants) and its
-/// on-first-touch payload.
-#[derive(Debug)]
-struct LazySubtree {
-    /// First node id of the subtree (the root child itself).
-    start: u32,
-    /// One past the last node id of the subtree (pre-order ranges are
-    /// contiguous).
-    end: u32,
-    /// Materialized bitsets; `std::sync::OnceLock` does not poison on a
-    /// panicking initializer, so an injected `tree_materialize` fault
-    /// leaves the cell empty and the next touch retries cleanly.
-    sets: OnceLock<SubtreeSets>,
-}
-
 /// The navigation tree of one query result: the maximum embedding of the
 /// concept hierarchy in which every non-root node carries attached
 /// citations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NavigationTree {
-    // ---- eager skeleton (struct-of-arrays, pre-order) ----
     /// The hierarchy position each navigation node embeds.
     hierarchy_node: Vec<HNodeId>,
     /// Concept labels, concatenated into one arena string (owned copies;
@@ -144,61 +113,6 @@ pub struct NavigationTree {
     total_explore_weight: f64,
     /// Local index → PMID for the distinct citations of the query result.
     citations: Vec<CitationId>,
-
-    // ---- lazy bitset payload ----
-    /// One entry per child of the root, in id order.
-    tops: Vec<LazySubtree>,
-    /// Node id → index into `tops`; [`NO_TOP`] for the root.
-    top_of: Vec<u32>,
-    /// Cached `∪ R(m)` over the whole tree (the root's subtree set);
-    /// unions every top's set, materializing them all.
-    root_subtree: OnceLock<CitSet>,
-    /// `R(root)` — always empty, stored so `results(ROOT)` can hand out a
-    /// reference without materializing anything.
-    empty_results: CitSet,
-}
-
-impl Clone for NavigationTree {
-    fn clone(&self) -> Self {
-        NavigationTree {
-            hierarchy_node: self.hierarchy_node.clone(),
-            labels: self.labels.clone(),
-            label_off: self.label_off.clone(),
-            hierarchy_depth: self.hierarchy_depth.clone(),
-            nav_depth: self.nav_depth.clone(),
-            parent: self.parent.clone(),
-            child_idx: self.child_idx.clone(),
-            child_off: self.child_off.clone(),
-            subtree_end: self.subtree_end.clone(),
-            result_idx: self.result_idx.clone(),
-            result_off: self.result_off.clone(),
-            explore_weight: self.explore_weight.clone(),
-            total_explore_weight: self.total_explore_weight,
-            citations: self.citations.clone(),
-            tops: self
-                .tops
-                .iter()
-                .map(|t| LazySubtree {
-                    start: t.start,
-                    end: t.end,
-                    sets: clone_cell(&t.sets),
-                })
-                .collect(),
-            top_of: self.top_of.clone(),
-            root_subtree: clone_cell(&self.root_subtree),
-            empty_results: self.empty_results.clone(),
-        }
-    }
-}
-
-/// Clone a `OnceLock`, carrying over an already-materialized value (so a
-/// clone never re-pays materialization the original already did).
-fn clone_cell<T: Clone>(cell: &OnceLock<T>) -> OnceLock<T> {
-    let out = OnceLock::new();
-    if let Some(v) = cell.get() {
-        let _ = out.set(v.clone());
-    }
-    out
 }
 
 impl NavigationTree {
@@ -228,8 +142,8 @@ impl NavigationTree {
     /// user still reads every listed citation. Non-finite or negative
     /// weights are clamped to 0.
     ///
-    /// Only the skeleton is built here; the per-node bitsets materialize
-    /// lazily on first accessor touch (see the module docs). The build is
+    /// No citation set is built here: sets are folded from the result
+    /// lists on demand (see the module docs). The build is
     /// bit-deterministic run-to-run: attachment iterates the sorted
     /// `citations` vec, so every per-node result list comes out in
     /// ascending local-index order regardless of input order.
@@ -243,7 +157,6 @@ impl NavigationTree {
         let mut citations: Vec<CitationId> = results.to_vec();
         citations.sort();
         citations.dedup();
-        let universe = citations.len();
         let weights: Vec<f64> = citations
             .iter()
             .map(|&id| {
@@ -445,22 +358,6 @@ impl NavigationTree {
             total_explore_weight += explore_weight[i];
         }
 
-        // Top-level subtrees (children of the root) own the lazy payload.
-        let mut top_of = vec![NO_TOP; n];
-        let root_children = &child_idx[child_off[0] as usize..child_off[1] as usize];
-        let mut tops = Vec::with_capacity(root_children.len());
-        for &c in root_children {
-            let (start, end) = (c.0, subtree_end[c.index()]);
-            for i in start..end {
-                top_of[i as usize] = tops.len() as u32;
-            }
-            tops.push(LazySubtree {
-                start,
-                end,
-                sets: OnceLock::new(),
-            });
-        }
-
         NavigationTree {
             hierarchy_node,
             labels,
@@ -476,106 +373,47 @@ impl NavigationTree {
             explore_weight,
             total_explore_weight,
             citations,
-            tops,
-            top_of,
-            root_subtree: OnceLock::new(),
-            empty_results: CitSet::new(universe),
         }
     }
 
     // -----------------------------------------------------------------------
-    // Lazy materialization
+    // The fold
     // -----------------------------------------------------------------------
 
-    /// Materialized payload of top `k`, building it on first touch.
-    fn sets_for(&self, k: usize) -> &SubtreeSets {
-        self.tops[k].sets.get_or_init(|| self.build_sets(k))
-    }
-
-    /// Build top `k`'s bitsets: per-node `R(n)` from the CSR result lists,
-    /// then the cached subtree unions in one reverse pass (children have
-    /// larger pre-order indices than their parents, so walking indices
-    /// downward folds every subtree into its parent bottom-up).
-    fn build_sets(&self, k: usize) -> SubtreeSets {
-        let _sp = trace::span(Stage::Materialize);
-        // The `tree_materialize` failpoint (DESIGN.md §5f/§5g): accessors
-        // have no error channel, so any armed fault fires as an injected
-        // panic. Callers on the serve path are inside `fault::isolate`,
-        // which quarantines the session; the untouched `OnceLock` retries
-        // cleanly on the next touch.
-        if fault::hit(FailSite::TreeMaterialize).is_some() {
-            fault::injected_panic(FailSite::TreeMaterialize);
-        }
-        let top = &self.tops[k];
-        let (s, e) = (top.start as usize, top.end as usize);
-        let universe = self.citations.len();
-        let mut results = Vec::with_capacity(e - s);
-        for i in s..e {
-            let mut set = CitSet::new(universe);
-            let (a, b) = (self.result_off[i] as usize, self.result_off[i + 1] as usize);
-            for &x in &self.result_idx[a..b] {
-                set.insert(x as usize);
-            }
-            results.push(set);
-        }
-        let mut subtree = results.clone();
-        for i in (1..e - s).rev() {
-            // Parents of non-top nodes stay inside the top's range.
-            let p = self.parent[s + i] as usize - s;
-            let (head, tail) = subtree.split_at_mut(i);
-            head[p].union_with(&tail[0]);
-        }
-        SubtreeSets { results, subtree }
-    }
-
-    /// The root's subtree set: the union over every top-level subtree
-    /// (materializing them all).
-    fn root_set(&self) -> &CitSet {
-        self.root_subtree.get_or_init(|| {
-            let mut set = CitSet::new(self.citations.len());
-            for k in 0..self.tops.len() {
-                set.union_with(&self.sets_for(k).subtree[0]);
-            }
-            set
-        })
-    }
-
-    /// Index into `tops` for a non-root node.
-    fn top_index(&self, id: NavNodeId) -> Option<usize> {
-        let t = self.top_of[id.index()];
-        (t != NO_TOP).then_some(t as usize)
-    }
-
-    /// Eagerly materialize the bitsets of every top-level subtree touched
-    /// by `nodes`.
+    /// `set ∪= ⋃ R(n)` over `nodes` — the one way any citation set is
+    /// built from the tree.
     ///
-    /// Accessors materialize on their own, but the serve path calls this at
-    /// a defined point (before fingerprinting and planning a cold
-    /// component) so `Stage::Materialize` time is not smeared into
-    /// `Stage::Solve` spans.
-    pub fn materialize_for<I: IntoIterator<Item = NavNodeId>>(&self, nodes: I) {
-        for node in nodes {
-            if let Some(k) = self.top_index(node) {
-                let _ = self.sets_for(k);
+    /// Each run of consecutive ids `a..b` is one contiguous slice of the
+    /// CSR result lists, inserted with plain word writes; a full subtree,
+    /// or a component without holes, is a single run. Callers pass nodes
+    /// in pre-order, which makes the fewest runs; any order unions
+    /// correctly.
+    pub(crate) fn fold_results<I: IntoIterator<Item = NavNodeId>>(
+        &self,
+        nodes: I,
+        set: &mut CitSet,
+    ) {
+        let mut nodes = nodes.into_iter();
+        let Some(first) = nodes.next() else {
+            return;
+        };
+        let (mut a, mut b) = (first.0, first.0 + 1);
+        for n in nodes {
+            if n.0 != b {
+                self.fold_run(a, b, set);
+                a = n.0;
             }
+            b = n.0 + 1;
         }
+        self.fold_run(a, b, set);
     }
 
-    /// Materialize every top-level subtree (and the root set) — the eager
-    /// build, for baselines and equivalence tests.
-    pub fn materialize_all(&self) {
-        let _ = self.root_set();
-    }
-
-    /// How many top-level subtrees have materialized bitsets so far.
-    pub fn materialized_subtrees(&self) -> usize {
-        self.tops.iter().filter(|t| t.sets.get().is_some()).count()
-    }
-
-    /// Total number of top-level subtrees (children of the root), i.e. the
-    /// lazy-materialization granularity.
-    pub fn lazy_subtrees(&self) -> usize {
-        self.tops.len()
+    /// Unions the result lists of the id run `a..b`: one slice.
+    #[inline]
+    fn fold_run(&self, a: u32, b: u32, set: &mut CitSet) {
+        let lo = self.result_off[a as usize] as usize;
+        let hi = self.result_off[b as usize] as usize;
+        set.insert_all(&self.result_idx[lo..hi]);
     }
 
     // -----------------------------------------------------------------------
@@ -635,20 +473,15 @@ impl NavigationTree {
         &self.child_idx[self.child_off[i] as usize..self.child_off[i + 1] as usize]
     }
 
-    /// Citations attached directly at this node (`R(n)`).
-    ///
-    /// First touch materializes the node's top-level subtree.
-    pub fn results(&self, id: NavNodeId) -> &CitSet {
-        match self.top_index(id) {
-            Some(k) => {
-                let top = &self.tops[k];
-                &self.sets_for(k).results[id.index() - top.start as usize]
-            }
-            None => &self.empty_results,
-        }
+    /// Citations attached directly at this node (`R(n)`), folded from its
+    /// result list into a fresh set.
+    pub fn results(&self, id: NavNodeId) -> CitSet {
+        let mut set = CitSet::new(self.universe());
+        self.fold_results([id], &mut set);
+        set
     }
 
-    /// `|R(n)|`. Skeleton data — never materializes.
+    /// `|R(n)|`: the length of the node's result list.
     pub fn results_count(&self, id: NavNodeId) -> u32 {
         let i = id.index();
         self.result_off[i + 1] - self.result_off[i]
@@ -664,23 +497,28 @@ impl NavigationTree {
         self.total_explore_weight
     }
 
-    /// Distinct citations in the *full* navigation subtree of `id`.
-    ///
-    /// First touch materializes the node's top-level subtree (all of them
-    /// for the root).
-    pub fn subtree_set(&self, id: NavNodeId) -> &CitSet {
-        match self.top_index(id) {
-            Some(k) => {
-                let top = &self.tops[k];
-                &self.sets_for(k).subtree[id.index() - top.start as usize]
-            }
-            None => self.root_set(),
-        }
+    /// Distinct citations in the *full* navigation subtree of `id`, folded
+    /// from the single slice `result_off[id]..result_off[subtree_end[id]]`.
+    pub fn subtree_set(&self, id: NavNodeId) -> CitSet {
+        let mut set = CitSet::new(self.universe());
+        self.fold_results(self.subtree_range(id), &mut set);
+        set
     }
 
     /// `|subtree_set(id)|` — the count the static interface displays.
     pub fn subtree_distinct(&self, id: NavNodeId) -> u32 {
         self.subtree_set(id).count()
+    }
+
+    /// Exclusive end of `id`'s pre-order subtree: the subtree is exactly
+    /// the ids `id.0..subtree_end(id)`.
+    pub(crate) fn subtree_end(&self, id: NavNodeId) -> u32 {
+        self.subtree_end[id.index()]
+    }
+
+    /// The subtree of `id` as its pre-order id range.
+    fn subtree_range(&self, id: NavNodeId) -> impl Iterator<Item = NavNodeId> {
+        (id.0..self.subtree_end[id.index()]).map(NavNodeId)
     }
 
     /// Pre-order iteration over node ids (root first).
@@ -692,9 +530,7 @@ impl NavigationTree {
     /// The node ids of the full subtree rooted at `id`, pre-order.
     pub fn subtree_nodes(&self, id: NavNodeId) -> Vec<NavNodeId> {
         // Pre-order subtrees are contiguous id ranges.
-        (id.0..self.subtree_end[id.index()])
-            .map(NavNodeId)
-            .collect()
+        self.subtree_range(id).collect()
     }
 
     /// Whether `ancestor` properly precedes `node` on its root path.
@@ -949,7 +785,6 @@ mod tests {
         assert_eq!(nav.len(), 1); // only the root
         assert!(nav.is_empty());
         assert_eq!(nav.universe(), 1); // the citation exists, just unreachable
-        assert_eq!(nav.lazy_subtrees(), 0);
         assert_eq!(nav.subtree_distinct(NavNodeId::ROOT), 0);
     }
 
@@ -979,54 +814,47 @@ mod tests {
     }
 
     #[test]
-    fn materialization_is_lazy_and_per_top_subtree() {
+    fn fold_unions_runs_gaps_and_unordered_ids() {
         let h = hierarchy();
-        // Two top-level navigation subtrees: A's branch and E's branch.
-        let store = store_with(&[(1, &[1, 4]), (2, &[5, 6])]);
-        let nav = NavigationTree::build(&h, &store, &[CitationId(1), CitationId(2)]);
-        assert_eq!(nav.lazy_subtrees(), 2);
-        assert_eq!(nav.materialized_subtrees(), 0, "build materializes nothing");
-        // Skeleton accessors stay lazy.
+        // Per node: A {1}, B {1, 2}, D {2, 3}, C {4}, E {5}, F {5, 6}.
+        let store = store_with(&[
+            (1, &[1, 2]),
+            (2, &[2, 4]),
+            (3, &[4]),
+            (4, &[3]),
+            (5, &[5, 6]),
+            (6, &[6]),
+        ]);
+        let nav = NavigationTree::build(&h, &store, &(1..=6).map(CitationId).collect::<Vec<_>>());
+        let all: Vec<NavNodeId> = nav.iter_preorder().collect();
+        let node_sets = [
+            vec![],
+            all.clone(),
+            vec![all[1], all[2], all[5], all[6]], // two runs, one gap
+            vec![all[6], all[2], all[3]],         // out of order
+            vec![all[4]],
+        ];
+        for nodes in node_sets {
+            let mut folded = CitSet::new(nav.universe());
+            nav.fold_results(nodes.iter().copied(), &mut folded);
+            let mut unioned = CitSet::new(nav.universe());
+            for &n in &nodes {
+                for x in nav.results(n).iter() {
+                    unioned.insert(x);
+                }
+            }
+            assert_eq!(folded, unioned, "fold over {nodes:?}");
+        }
+        // Folding adds to what the caller's set already holds.
+        let mut set = CitSet::new(nav.universe());
+        set.insert(0);
+        nav.fold_results([all[6]], &mut set);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 4, 5]);
+        // A subtree fold is its single range.
         let a = nav.find_by_label("A").unwrap();
-        let e = nav.find_by_label("E").unwrap();
-        assert_eq!(nav.results_count(a), 1);
-        assert!(nav.children(a).len() == 1 && nav.parent(a) == Some(NavNodeId::ROOT));
-        assert!(nav.explore_weight(a) > 0.0);
-        assert_eq!(nav.materialized_subtrees(), 0);
-        // Touching one branch materializes only that branch.
-        assert_eq!(nav.subtree_distinct(a), 1);
-        assert_eq!(nav.materialized_subtrees(), 1);
-        assert!(nav.results(e).contains(1));
-        assert_eq!(nav.materialized_subtrees(), 2);
-        // The root set unions the tops.
-        assert_eq!(nav.subtree_distinct(NavNodeId::ROOT), 2);
-    }
-
-    #[test]
-    fn materialize_for_touches_only_named_components() {
-        let h = hierarchy();
-        let store = store_with(&[(1, &[1]), (2, &[5])]);
-        let nav = NavigationTree::build(&h, &store, &[CitationId(1), CitationId(2)]);
-        let a = nav.find_by_label("A").unwrap();
-        nav.materialize_for([a, NavNodeId::ROOT]);
-        assert_eq!(nav.materialized_subtrees(), 1);
-        nav.materialize_all();
-        assert_eq!(nav.materialized_subtrees(), nav.lazy_subtrees());
-    }
-
-    #[test]
-    fn clone_carries_materialized_payload() {
-        let h = hierarchy();
-        let store = store_with(&[(1, &[1]), (2, &[5])]);
-        let nav = NavigationTree::build(&h, &store, &[CitationId(1), CitationId(2)]);
-        let a = nav.find_by_label("A").unwrap();
-        let _ = nav.results(a);
-        let cloned = nav.clone();
-        assert_eq!(cloned.materialized_subtrees(), 1);
-        // The clone's unmaterialized tops still materialize on demand.
-        let e = cloned.find_by_label("E").unwrap();
-        assert_eq!(cloned.subtree_distinct(e), 1);
-        assert_eq!(nav.materialized_subtrees(), 1, "original untouched");
+        assert_eq!(nav.subtree_end(a), nav.find_by_label("E").unwrap().0);
+        assert_eq!(nav.subtree_distinct(a), 4);
+        assert_eq!(nav.subtree_distinct(NavNodeId::ROOT), 6);
     }
 
     #[test]

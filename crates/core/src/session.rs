@@ -286,7 +286,7 @@ impl<T: Borrow<NavigationTree>> Session<T> {
 
     /// Number of hidden nodes (including `node`) in `node`'s component.
     pub fn component_size(&self, node: NavNodeId) -> usize {
-        self.active.component_size(node)
+        self.active.component_size(self.nav.borrow(), node)
     }
 
     /// EXPAND: runs Heuristic-ReducedOpt on `node`'s component, applies the
@@ -382,11 +382,6 @@ impl<T: Borrow<NavigationTree>> Session<T> {
             }
             _ => None,
         };
-        // First planning touch of a cold component: materialize its lazy
-        // subtree bitsets here, at a defined point before the solve, so
-        // `Stage::Materialize` time never smears into `Stage::Solve` spans
-        // (cut-cache hits above return without paying this).
-        self.nav.borrow().materialize_for(comp.iter().copied());
         let planned =
             plan_component_with(self.nav.borrow(), &comp, &self.params, &mut self.scratch);
         self.comp_buf = comp;

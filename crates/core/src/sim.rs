@@ -112,7 +112,7 @@ pub fn simulate_bionav(
             outcome.revealed += cut.len();
             trace.push(ExpandTrace {
                 node: root,
-                component_size: active.component_size(root),
+                component_size: active.component_size(nav, root),
                 reduced_size: out.reduced_size,
                 revealed: cut.len(),
                 elapsed: out.elapsed,

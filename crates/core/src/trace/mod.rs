@@ -108,8 +108,10 @@ pub enum Stage {
     /// §5f) instead of the exact planner — the span covers the degraded
     /// rung (retained-memo myopic cut or static show-all-children cut).
     Degraded = 11,
-    /// First-touch materialization of a lazy navigation-tree subtree's
-    /// result/subtree bitsets (DESIGN.md §5g).
+    /// A client-read fold of one component's citation set from the CSR
+    /// result lists (`ActiveTree::component_set`: OPEN's visualization
+    /// counts, SHOWRESULTS; DESIGN.md §5g). The planner's own fold runs
+    /// inside [`Stage::ReducedBuild`] and is not counted here.
     Materialize = 12,
     /// `Engine::open_session` sub-stage: the tree came from the tree
     /// cache. Recorded via [`record`] alongside the enclosing

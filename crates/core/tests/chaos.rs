@@ -418,15 +418,15 @@ fn materialize_panic_quarantines_then_retries_bit_identical() {
     let job = vec![(query.clone(), vec![ScriptOp::ExpandFully])];
 
     // Unarmed reference pass on a separate engine (so the engine under
-    // test still has a fully *unmaterialized* cached tree).
+    // test still plans its first EXPAND fresh, with an empty cut cache).
     let reference = fixture_engine().replay(&job, 1)[0]
         .as_ref()
         .expect("unarmed replay completes")
         .cost
         .clone();
 
-    // open_session builds only the skeleton, so the materialize failpoint
-    // must not fire yet — first touch is the EXPAND below.
+    // open_session runs no planner fold, so the failpoint must not fire
+    // yet — the first fold is the EXPAND's reduced-problem build below.
     let doomed = {
         let _armed = fault::scoped(FaultPlan::new(chaos_seed()).site_limited(
             FailSite::TreeMaterialize,
@@ -457,9 +457,9 @@ fn materialize_panic_quarantines_then_retries_bit_identical() {
     assert_eq!(engine.stats().sessions_quarantined, 1);
     engine.close_session(doomed).unwrap();
 
-    // Recovery on the SAME cached tree: the panicking initializer left the
-    // OnceLock cells empty (std OnceLock does not poison), so the next
-    // touch rebuilds cleanly and the cost is bit-identical to the
+    // Recovery on the SAME cached tree: the fold writes only sets the
+    // panicking call owned, and the tree itself is immutable, so the next
+    // EXPAND folds anew and the cost is bit-identical to the
     // reference.
     let outcome = engine.replay(&job, 1).remove(0).expect("recovery replay");
     assert_eq!(outcome.cost, reference, "post-fault cost diverged");

@@ -43,7 +43,7 @@ fn hundred_thousand_level_chain_with_a_deep_leaf_embeds() {
 /// Dense spine: the citation is indexed with every level, so no node
 /// elides and the navigation tree is the full 100k-node chain. Exercises
 /// the whole arena build — CSR children, depths, subtree ranges — plus
-/// lazy materialization at depth.
+/// the citation-set fold at depth.
 #[test]
 fn hundred_thousand_level_chain_fully_occupied_embeds() {
     let h = deep_chain(LEVELS);
@@ -65,14 +65,8 @@ fn hundred_thousand_level_chain_fully_occupied_embeds() {
     assert_eq!(nav.nav_depth(leaf), LEVELS as u32);
     assert_eq!(nav.hierarchy_depth(leaf), LEVELS as u32);
 
-    // The skeleton is built, yet nothing has materialized.
-    assert_eq!(nav.materialized_subtrees(), 0);
-    assert_eq!(nav.lazy_subtrees(), 1);
-
-    // Touching the leaf materializes the (single) top-level subtree and
-    // the per-node sets come out right even 100k levels down.
+    // The folded sets come out right even 100k levels down.
     assert!(nav.results(leaf).contains(0));
-    assert_eq!(nav.materialized_subtrees(), 1);
     assert_eq!(nav.subtree_distinct(NavNodeId(1)), 1);
     assert_eq!(nav.subtree_nodes(NavNodeId(1)).len(), LEVELS);
     assert!(nav.is_ancestor(NavNodeId(1), leaf));

@@ -1,33 +1,23 @@
-//! Property-based equivalence suite for the lazy maximum embedding
-//! (ISSUE 6 tentpole).
+//! Property-based equivalence suite for the navigation tree's citation
+//! sets.
 //!
-//! `NavigationTree::build` now returns a skeleton — CSR topology, labels,
-//! depths, result counts, and EXPLORE weights are eager, while the
-//! per-node `CitSet` payloads (direct results and subtree unions) are
-//! materialized per top-level subtree on first touch. This suite asserts,
-//! over *generated* hierarchies and *generated* touch orders:
+//! `NavigationTree` keeps `R(n)` only as CSR result lists; every set a
+//! verb reads is folded from them on demand (DESIGN.md §5g). This suite
+//! asserts, over *generated* hierarchies and *generated* read orders:
 //!
-//! 1. the skeleton is complete without any materialization — every
-//!    payload-free accessor agrees with a fully eager build while
-//!    `materialized_subtrees()` stays 0;
-//! 2. payloads are node-for-node identical to the eager build no matter
-//!    which order subtrees are first touched in, and both agree with an
-//!    independent `BTreeSet`-union oracle recomputed from the raw spec;
-//! 3. full-expansion [`Session`] replays on a lazy tree produce the same
-//!    action log and the same [`NavOutcome`] totals as on an eager tree —
-//!    per-query navigation costs are bit-identical, the ISSUE 6
-//!    acceptance bar;
-//! 4. the serving path keeps the laziness: a cold [`Engine::open_session`]
-//!    hands the session a tree with nothing materialized, and only the
-//!    first EXPAND pays for payloads.
+//! 1. `results`, `subtree_set` and `subtree_distinct` agree node for node
+//!    with an independent `BTreeSet`-union oracle recomputed from the raw
+//!    spec, whatever order the nodes are read in;
+//! 2. full-expansion [`Session`] replays cost exactly what the oracle
+//!    says SHOWRESULTS must list, and two trees built from byte-identical
+//!    inputs replay to the same action log and the same [`NavOutcome`]
+//!    totals — per-query navigation costs are bit-identical.
 
 use std::collections::BTreeSet;
 
-use std::sync::Arc;
-
 use bionav_core::session::Session;
 use bionav_core::sim::NavOutcome;
-use bionav_core::{CostParams, Engine, NavNodeId, NavigationTree};
+use bionav_core::{CostParams, NavNodeId, NavigationTree};
 use bionav_medline::{Citation, CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
 use proptest::prelude::*;
@@ -105,7 +95,7 @@ fn build_inputs(spec: &TreeSpec) -> (ConceptHierarchy, CitationStore, Vec<Citati
     (h, store, results)
 }
 
-/// The set of `CitationId`s in a node's (materializing) payload accessor.
+/// The set of `CitationId`s in a folded citation set.
 fn cits(nav: &NavigationTree, set: &bionav_core::CitSet) -> BTreeSet<CitationId> {
     set.iter().map(|local| nav.citation_id(local)).collect()
 }
@@ -169,176 +159,51 @@ fn replay(nav: &NavigationTree, params: &CostParams) -> (Vec<String>, NavOutcome
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Property 1: the lazy build's skeleton is complete and identical to
-    /// the eager build's without materializing anything, and payloads are
-    /// node-for-node identical under an arbitrary first-touch order.
+    /// Property 1: every folded set equals the independent oracle, read
+    /// in a generated order and then everywhere.
     #[test]
-    fn lazy_build_matches_eager_node_for_node(
+    fn folded_sets_match_the_btreeset_oracle_node_for_node(
         spec in tree_spec(),
         touches in proptest::collection::vec(0usize..64, 0..24),
     ) {
         let (h, store, results) = build_inputs(&spec);
-        let eager = NavigationTree::build(&h, &store, &results);
-        eager.materialize_all();
-        let lazy = NavigationTree::build(&h, &store, &results);
-
-        prop_assert_eq!(lazy.materialized_subtrees(), 0, "build must not materialize");
-        prop_assert_eq!(lazy.len(), eager.len());
-        prop_assert_eq!(lazy.universe(), eager.universe());
-        prop_assert_eq!(
-            lazy.total_explore_weight().to_bits(),
-            eager.total_explore_weight().to_bits()
-        );
-
-        // Skeleton accessors agree everywhere, and touching them costs no
-        // materialization.
-        for n in eager.iter_preorder() {
-            prop_assert_eq!(lazy.label(n), eager.label(n));
-            prop_assert_eq!(lazy.parent(n), eager.parent(n));
-            prop_assert_eq!(lazy.children(n), eager.children(n));
-            prop_assert_eq!(lazy.nav_depth(n), eager.nav_depth(n));
-            prop_assert_eq!(lazy.hierarchy_depth(n), eager.hierarchy_depth(n));
-            prop_assert_eq!(lazy.results_count(n), eager.results_count(n));
-            prop_assert_eq!(
-                lazy.explore_weight(n).to_bits(),
-                eager.explore_weight(n).to_bits(),
-                "explore weight diverges at {:?}", n
-            );
-            prop_assert_eq!(lazy.subtree_nodes(n), eager.subtree_nodes(n));
-        }
-        prop_assert_eq!(lazy.materialized_subtrees(), 0, "skeleton reads are payload-free");
-
-        // Touch payloads in a generated order; every answer must equal the
-        // eager build's and the independent oracle's.
-        let direct = oracle_direct(&eager, &store, &results);
-        let subtree = oracle_subtree(&eager, &direct);
-        let order: Vec<NavNodeId> = touches
+        let nav = NavigationTree::build(&h, &store, &results);
+        let direct = oracle_direct(&nav, &store, &results);
+        let subtree = oracle_subtree(&nav, &direct);
+        let order = touches
             .iter()
-            .map(|&t| NavNodeId((t % lazy.len()) as u32))
-            .collect();
-        for &n in &order {
-            prop_assert_eq!(cits(&lazy, lazy.results(n)), cits(&eager, eager.results(n)));
-            prop_assert_eq!(cits(&lazy, lazy.results(n)), direct[n.index()].clone());
-            prop_assert_eq!(
-                cits(&lazy, lazy.subtree_set(n)),
-                cits(&eager, eager.subtree_set(n))
-            );
-            prop_assert_eq!(cits(&lazy, lazy.subtree_set(n)), subtree[n.index()].clone());
-            prop_assert_eq!(lazy.subtree_distinct(n), eager.subtree_distinct(n));
-        }
-
-        // And after full materialization nothing differs anywhere.
-        lazy.materialize_all();
-        prop_assert_eq!(lazy.materialized_subtrees(), lazy.lazy_subtrees());
-        for n in eager.iter_preorder() {
-            prop_assert_eq!(cits(&lazy, lazy.results(n)), cits(&eager, eager.results(n)));
-            prop_assert_eq!(
-                cits(&lazy, lazy.subtree_set(n)),
-                cits(&eager, eager.subtree_set(n))
-            );
-            prop_assert_eq!(cits(&lazy, lazy.subtree_set(n)), subtree[n.index()].clone());
+            .map(|&t| NavNodeId((t % nav.len()) as u32))
+            .chain(nav.iter_preorder());
+        for n in order {
+            prop_assert_eq!(cits(&nav, &nav.results(n)), direct[n.index()].clone());
+            prop_assert_eq!(nav.results_count(n) as usize, direct[n.index()].len());
+            prop_assert_eq!(cits(&nav, &nav.subtree_set(n)), subtree[n.index()].clone());
+            prop_assert_eq!(nav.subtree_distinct(n) as usize, subtree[n.index()].len());
         }
     }
 
     /// Property 2: full navigation replays — EXPAND to exhaustion, then
-    /// SHOWRESULTS everywhere — on a lazy tree and on an eagerly
-    /// materialized tree produce identical action logs and identical cost
-    /// totals. This is the "per-query navigation costs stay bit-identical"
-    /// acceptance criterion exercised through the real session layer.
+    /// SHOWRESULTS everywhere — list exactly the oracle's citations, and
+    /// two independently built trees replay to identical action logs and
+    /// identical cost totals. This is the "per-query navigation costs stay
+    /// bit-identical" criterion exercised through the real session layer.
     #[test]
-    fn session_replays_agree_between_lazy_and_eager_trees(spec in tree_spec()) {
+    fn session_replays_match_the_oracle_across_builds(spec in tree_spec()) {
         let (h, store, results) = build_inputs(&spec);
-        let eager = NavigationTree::build(&h, &store, &results);
-        eager.materialize_all();
-        let lazy = NavigationTree::build(&h, &store, &results);
+        let first = NavigationTree::build(&h, &store, &results);
+        let second = NavigationTree::build(&h, &store, &results);
+        // Fully expanded, every node is its own component, so SHOWRESULTS
+        // everywhere lists each node's direct results once.
+        let direct = oracle_direct(&first, &store, &results);
+        let listed: usize = direct.iter().map(BTreeSet::len).sum();
 
         for k in [2usize, 4, 10] {
             let params = CostParams::default().with_max_partitions(k);
-            let (eager_log, eager_cost) = replay(&eager, &params);
-            let (lazy_log, lazy_cost) = replay(&lazy, &params);
-            prop_assert_eq!(&lazy_log, &eager_log, "action logs diverge at k={}", k);
-            prop_assert_eq!(&lazy_cost, &eager_cost, "cost totals diverge at k={}", k);
+            let (first_log, first_cost) = replay(&first, &params);
+            let (second_log, second_cost) = replay(&second, &params);
+            prop_assert_eq!(first_cost.results_inspected, listed, "k={}", k);
+            prop_assert_eq!(&second_log, &first_log, "action logs diverge at k={}", k);
+            prop_assert_eq!(&second_cost, &first_cost, "cost totals diverge at k={}", k);
         }
     }
-}
-
-/// Property 4 on fixed shapes: opening a session cold (tree-cache miss)
-/// through the engine builds the skeleton only — the opened tree reads
-/// `materialized_subtrees() == 0` — and the first EXPAND of the root is
-/// what materializes subtree payloads. Guards the cold-open path against a
-/// regression to the eager build anywhere between the builder and the
-/// parked session.
-#[test]
-fn cold_engine_open_stays_lazy_until_the_first_expand() {
-    let specs = [
-        TreeSpec {
-            parents: vec![0, 0, 0, 1, 2, 3, 4, 5, 6],
-            cites: vec![0, 3, 2, 4, 1, 2, 1, 3, 2, 1],
-        },
-        TreeSpec {
-            parents: (0..30).map(|i| i / 3).collect(),
-            cites: (0..31).map(|i| (i * 7 % 5) as u32).collect(),
-        },
-        TreeSpec {
-            parents: vec![0; 12],
-            cites: vec![0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3],
-        },
-    ];
-    for spec in &specs {
-        let (h, store, results) = build_inputs(spec);
-        let engine = Engine::new(
-            move |_query: &str| Some(Arc::new(NavigationTree::build(&h, &store, &results))),
-            CostParams::default(),
-            4,
-        );
-        let id = engine.open_session("q").expect("cold open");
-        assert_eq!(engine.stats().cache_misses, 1, "the open built the tree");
-        let (materialized, subtrees) = engine
-            .with_session(id, |s| {
-                (s.nav().materialized_subtrees(), s.nav().lazy_subtrees())
-            })
-            .expect("session parked");
-        assert!(
-            subtrees >= 2,
-            "fixture must have several top-level subtrees ({subtrees})"
-        );
-        assert_eq!(materialized, 0, "cold open must not materialize payloads");
-
-        engine
-            .expand(id, NavNodeId::ROOT)
-            .expect("root component expands");
-        let materialized = engine
-            .with_session(id, |s| s.nav().materialized_subtrees())
-            .expect("session parked");
-        assert!(materialized > 0, "the first EXPAND materializes subtrees");
-        engine.close_session(id).expect("close");
-    }
-}
-
-/// Materialization granularity: touching one top-level subtree leaves the
-/// others (and the root union) untouched, and the touched answers are
-/// already final — later full materialization does not change them.
-#[test]
-fn first_touch_materializes_only_the_touched_component() {
-    let spec = TreeSpec {
-        parents: vec![0, 0, 0, 1, 2, 3, 4, 5, 6],
-        cites: vec![0, 3, 2, 4, 1, 2, 1, 3, 2, 1],
-    };
-    let (h, store, results) = build_inputs(&spec);
-    let nav = NavigationTree::build(&h, &store, &results);
-    assert_eq!(nav.materialized_subtrees(), 0);
-    let tops = nav.children(NavNodeId::ROOT).to_vec();
-    assert!(
-        tops.len() >= 2,
-        "fixture must have multiple top-level subtrees"
-    );
-
-    let first = tops[0];
-    let before = cits(&nav, nav.subtree_set(first));
-    assert_eq!(nav.materialized_subtrees(), 1);
-    assert_eq!(nav.lazy_subtrees(), tops.len());
-
-    nav.materialize_all();
-    assert_eq!(nav.materialized_subtrees(), tops.len());
-    assert_eq!(cits(&nav, nav.subtree_set(first)), before);
 }

@@ -104,7 +104,7 @@ pub fn split(src: &str) -> Vec<Line> {
                         cur.code.push('\'');
                         i += 1;
                         while i < cs.len() && cs[i] != '\'' && cs[i] != '\n' {
-                            if cs[i] == '\\' {
+                            if cs[i] == '\\' && cs.get(i + 1) != Some(&'\n') {
                                 i += 1; // skip escaped char
                             }
                             i += 1;
@@ -147,7 +147,11 @@ pub fn split(src: &str) -> Vec<Line> {
                 }
             }
             St::Str => {
-                if c == '\\' {
+                if c == '\\' && cs.get(i + 1) == Some(&'\n') {
+                    // A `\`-newline continuation: skip only the backslash
+                    // so the line break above still ends this line.
+                    i += 1;
+                } else if c == '\\' {
                     i += 2; // skip the escaped char (may be a quote)
                 } else if c == '"' {
                     cur.code.push('"');
@@ -229,6 +233,15 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(!lines[1].code.contains("unwrap"));
         assert!(lines[2].code.contains("let t = 3"));
+    }
+
+    #[test]
+    fn string_continuations_keep_their_lines() {
+        let src = "let s = \"one \\\n    two\";\nlet t = x.unwrap();\n";
+        let lines = split(src);
+        assert_eq!(lines.len(), src.lines().count());
+        assert!(!lines[1].code.contains("two"));
+        assert!(lines[2].code.contains("unwrap"));
     }
 
     #[test]

@@ -175,11 +175,23 @@ const CLIPPY_TRIO: &str = "#![warn(clippy::unwrap_used, clippy::expect_used, cli
 
 /// Does `manifest` have a `[lints]` table that says `workspace = true`?
 fn inherits_workspace_lints(manifest: &str) -> bool {
-    let mut in_lints = false;
+    table_has(manifest, "[lints]", "workspace=true")
+}
+
+/// Whether `manifest`'s `[package]` inherits the workspace `rust-version`,
+/// so cargo refuses a toolchain older than the declared floor.
+fn inherits_rust_version(manifest: &str) -> bool {
+    table_has(manifest, "[package]", "rust-version.workspace=true")
+}
+
+/// Whether the table headed exactly `header` holds `entry` (compared with
+/// spaces removed).
+fn table_has(manifest: &str, header: &str, entry: &str) -> bool {
+    let mut in_table = false;
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_lints = line == "[lints]";
-        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            in_table = line == header;
+        } else if in_table && line.replace(' ', "") == entry {
             return true;
         }
     }
@@ -194,6 +206,10 @@ fn every_first_party_package_inherits_the_workspace_lints() {
     assert!(
         !inherits_workspace_lints("[package]\nname = \"x\"\n\n[lints.rust]\nworkspace = true\n"),
         "only the `[lints]` table itself opts in"
+    );
+    assert!(
+        !inherits_rust_version("[lints]\nrust-version.workspace = true\n"),
+        "only the `[package]` table sets the toolchain floor"
     );
     let root = workspace_root();
     let read = |p: &Path| std::fs::read_to_string(p).expect("first-party sources are readable");
@@ -212,9 +228,15 @@ fn every_first_party_package_inherits_the_workspace_lints() {
     packages.extend(members);
     for package in &packages {
         let manifest = package.join("Cargo.toml");
+        let text = read(&manifest);
         assert!(
-            inherits_workspace_lints(&read(&manifest)),
+            inherits_workspace_lints(&text),
             "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+        assert!(
+            inherits_rust_version(&text),
+            "{} lacks `rust-version.workspace = true`",
             manifest.display()
         );
         let lib = package.join("src").join("lib.rs");

@@ -103,12 +103,13 @@ fn render_piece(kind: usize, sub: usize) -> Piece {
             carries_secret: None,
             ends_line: false,
         },
-        // String literal, with an escaped quote half the time.
+        // String literal: plain, with escaped quotes, or continued onto
+        // the next line by a `\`-newline escape.
         3 => Piece {
-            text: if sub.is_multiple_of(2) {
-                format!("let s = \"{SECRET}\";")
-            } else {
-                format!("let s = \"a\\\"{SECRET}\\\"b\";")
+            text: match sub % 3 {
+                0 => format!("let s = \"{SECRET}\";"),
+                1 => format!("let s = \"a\\\"{SECRET}\\\"b\";"),
+                _ => format!("let s = \"a\\\n    {SECRET}\";"),
             },
             carries_secret: Some(false),
             ends_line: false,
@@ -190,6 +191,14 @@ proptest! {
         let code = code_channel(&lines);
         let comments = comment_channel(&lines);
 
+        // One Line per physical line, so findings cite true line numbers.
+        prop_assert_eq!(
+            lines.len(),
+            src.matches('\n').count(),
+            "split lost or invented lines: {:?}",
+            src
+        );
+
         // Literal contents and comment bodies never reach the code channel.
         prop_assert!(
             !code.contains(SECRET),
@@ -226,8 +235,8 @@ proptest! {
     ) {
         let lines = lexer::split(&soup);
         // Line structure: at most one Line per input line (`str::lines`
-        // semantics, and a literal spanning a newline folds its physical
-        // lines into one Line).
+        // semantics; a last line holding only an empty comment yields no
+        // Line).
         prop_assert!(
             lines.len() <= soup.lines().count(),
             "split invented lines: {} > {}",

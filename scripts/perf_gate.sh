@@ -11,8 +11,8 @@
 # head, base — so neither side always runs first on a warming host — plus
 # one traced working-tree run, and fails unless
 #   - every run is correct with 0 failed operations;
-#   - the mean of the working tree's two expand_p99_ms (and open_p90_ms)
-#     readings is at most 2.0x the mean of HEAD^'s two;
+#   - the mean of the working tree's two expand_p99_ms (and open_p50_ms,
+#     and open_p90_ms) readings is at most 2.0x the mean of HEAD^'s two;
 #   - the traced run's trace.overhead_frac (sessions/s lost by the traced
 #     passes against the untraced passes they alternate with) is at most 0.08.
 # Everything it builds and writes stays under .perf_gate/ (run logs, the
@@ -81,7 +81,7 @@ for name, r in runs.items():
 def mean(side, key):
     return (metric(f"{side}-1", key) + metric(f"{side}-2", key)) / 2
 
-for key in ("expand_p99_ms", "open_p90_ms"):
+for key in ("expand_p99_ms", "open_p50_ms", "open_p90_ms"):
     b, h = mean("base", key), mean("head", key)
     ok = h <= FACTOR * b
     print(f"{key:<18} base mean {b:.3f}  head mean {h:.3f}  "

@@ -2,7 +2,9 @@
 //! invariants, EdgeCut validity, partition covering, planner consistency
 //! and simulation termination.
 
-use bionav::core::active::ActiveTree;
+use std::collections::BTreeSet;
+
+use bionav::core::active::{ActiveTree, EdgeCut};
 use bionav::core::edgecut::heuristic::heuristic_reduced_opt;
 use bionav::core::edgecut::opt::CutProblem;
 use bionav::core::edgecut::partition::partition_until;
@@ -67,7 +69,7 @@ proptest! {
         // Every citation attached below the root is in the root's subtree set.
         let mut union = bionav::core::CitSet::new(nav.universe());
         for n in nav.iter_preorder() {
-            union.union_with(nav.results(n));
+            union.union_with(&nav.results(n));
         }
         prop_assert_eq!(union.count(), nav.subtree_distinct(NavNodeId::ROOT));
     }
@@ -81,7 +83,7 @@ proptest! {
         loop {
             let Some(root) = nav
                 .iter_preorder()
-                .find(|&n| active.is_visible(n) && active.component_size(n) > 1)
+                .find(|&n| active.is_visible(n) && active.component_size(&nav, n) > 1)
             else {
                 break;
             };
@@ -107,7 +109,7 @@ proptest! {
         for _ in 0..4 {
             let Some(root) = nav
                 .iter_preorder()
-                .find(|&n| active.is_visible(n) && active.component_size(n) > 1)
+                .find(|&n| active.is_visible(n) && active.component_size(&nav, n) > 1)
             else {
                 break;
             };
@@ -116,7 +118,7 @@ proptest! {
             let total: usize = nav
                 .iter_preorder()
                 .filter(|&n| active.is_visible(n))
-                .map(|n| active.component_size(n))
+                .map(|n| active.component_size(&nav, n))
                 .sum();
             prop_assert_eq!(total, nav.len());
         }
@@ -147,7 +149,7 @@ proptest! {
         for _ in 0..3 {
             let Some(root) = nav
                 .iter_preorder()
-                .find(|&n| active.is_visible(n) && active.component_size(n) > 1)
+                .find(|&n| active.is_visible(n) && active.component_size(&nav, n) > 1)
             else {
                 break;
             };
@@ -179,7 +181,7 @@ proptest! {
         for _ in 0..5 {
             let Some(root) = nav
                 .iter_preorder()
-                .find(|&n| active.is_visible(n) && active.component_size(n) > 1)
+                .find(|&n| active.is_visible(n) && active.component_size(&nav, n) > 1)
             else {
                 break;
             };
@@ -215,6 +217,98 @@ proptest! {
     }
 }
 
+/// Brute-force component reads over the whole `component_root_of` map:
+/// the members of `root`'s component in pre-order, and their citations.
+fn oracle_component(
+    nav: &NavigationTree,
+    active: &ActiveTree,
+    root: NavNodeId,
+) -> (Vec<NavNodeId>, BTreeSet<usize>) {
+    let members: Vec<NavNodeId> = nav
+        .iter_preorder()
+        .filter(|&n| active.component_root_of(n) == root)
+        .collect();
+    let cites = members
+        .iter()
+        .flat_map(|&n| nav.results(n).iter().collect::<Vec<_>>())
+        .collect();
+    (members, cites)
+}
+
+/// Whether `a` lies on `n`'s root path (or is `n`), by parent walk.
+fn on_root_path(nav: &NavigationTree, a: NavNodeId, mut n: NavNodeId) -> bool {
+    loop {
+        if n == a {
+            return true;
+        }
+        match nav.parent(n) {
+            Some(p) => n = p,
+            None => return false,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The component reads walk only the root's pre-order range and jump
+    /// over holes; random EdgeCut sequences — cuts inside components that
+    /// earlier cuts left, so holes nest and sit under holes — must leave
+    /// every read equal to a brute-force scan of the whole map, and every
+    /// subtree fold equal to a parent-walk oracle.
+    #[test]
+    fn component_reads_match_a_brute_force_oracle_under_random_cuts(
+        (seed, hs, nc) in params(),
+        picks in proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000, 1usize..4), 1..8),
+    ) {
+        let (_h, _s, nav) = instance(seed, hs, nc);
+        let mut active = ActiveTree::new(&nav);
+        for (root_pick, node_pick, width) in picks {
+            let roots: Vec<NavNodeId> = nav
+                .iter_preorder()
+                .filter(|&n| active.is_visible(n) && active.component_size(&nav, n) > 1)
+                .collect();
+            if roots.is_empty() {
+                break;
+            }
+            let root = roots[root_pick % roots.len()];
+            let (members, _) = oracle_component(&nav, &active, root);
+            // Up to `width` non-root members, kept only while they form an
+            // antichain: a valid EdgeCut.
+            let mut cut: Vec<NavNodeId> = Vec::new();
+            for j in 0..width {
+                let c = members[1 + (node_pick / (j + 1)) % (members.len() - 1)];
+                if cut.iter().all(|&k| !on_root_path(&nav, k, c) && !on_root_path(&nav, c, k)) {
+                    cut.push(c);
+                }
+            }
+            active.expand(&nav, root, &EdgeCut::new(cut)).expect("antichain cuts are valid");
+
+            for n in nav.iter_preorder().filter(|&n| active.is_visible(n)) {
+                let (members, cites) = oracle_component(&nav, &active, n);
+                prop_assert_eq!(active.component_nodes(&nav, n), members.clone());
+                prop_assert_eq!(active.component_size(&nav, n), members.len());
+                prop_assert_eq!(active.component_distinct(&nav, n) as usize, cites.len());
+                let set: BTreeSet<usize> = active.component_set(&nav, n).iter().collect();
+                prop_assert_eq!(set, cites);
+            }
+            for row in active.visualize(&nav) {
+                let (members, cites) = oracle_component(&nav, &active, row.node);
+                prop_assert_eq!(row.component_distinct as usize, cites.len());
+                prop_assert_eq!(row.expandable, members.len() > 1);
+            }
+        }
+        for n in nav.iter_preorder() {
+            let below: BTreeSet<usize> = nav
+                .iter_preorder()
+                .filter(|&m| on_root_path(&nav, n, m))
+                .flat_map(|m| nav.results(m).iter().collect::<Vec<_>>())
+                .collect();
+            prop_assert_eq!(nav.subtree_distinct(n) as usize, below.len());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -223,7 +317,6 @@ proptest! {
         (seed, hs, nc) in params(),
         picks in proptest::collection::vec(0usize..1_000_000, 1..6),
     ) {
-        use bionav::core::EdgeCut;
         let (_h, _s, nav) = instance(seed, hs, nc);
         if nav.len() < 3 {
             return Ok(());
@@ -267,7 +360,7 @@ proptest! {
         let total: usize = nav
             .iter_preorder()
             .filter(|&n| applied.is_visible(n))
-            .map(|n| applied.component_size(n))
+            .map(|n| applied.component_size(&nav, n))
             .sum();
         prop_assert_eq!(total, nav.len());
     }

@@ -12,13 +12,15 @@
 //!
 //! # Single-pass planning
 //!
-//! A fresh EXPAND runs the pipeline **once**: one [`partition_until_in`]
+//! A fresh EXPAND runs the pipeline **once**: one
+//! [`partition_until_in`](crate::edgecut::partition::partition_until_in)
 //! loop, one reduced-problem build, one exact solve — and the solve's memo
 //! table is *retained inside the returned* [`ReducedPlan`], so the plan,
 //! the outcome and the first [`PlannedCut`] all come from the same pass
 //! (see [`plan_component_with`]). The scratch arena
-//! ([`crate::scratch::NavScratch`]) supplies node-indexed epoch-stamped
-//! membership/partition maps, eliminating the per-call hash maps and
+//! ([`crate::scratch::NavScratch`]) holds the run's component view and its
+//! partitions as ranges of one member array, which the reduced-problem
+//! build reads in place, eliminating the per-call hash maps and
 //! `Vec::contains` scans of the original implementation. The historical
 //! two-pass pipeline survives only as the [`reference`](mod@reference)
 //! module, which the equivalence test-suite replays against this one.
@@ -32,10 +34,10 @@ use crate::bitset::CitSet;
 use crate::cost::CostParams;
 use crate::edgecut::counters;
 use crate::edgecut::opt::{CutProblem, SolveCache};
-use crate::edgecut::partition::{partition_until_in, Partition};
+use crate::edgecut::partition::{partition_until_arena, Partition};
 use crate::fault::{self, FailSite};
 use crate::navtree::{NavNodeId, NavigationTree};
-use crate::scratch::{NavScratch, NodeMap};
+use crate::scratch::{NavScratch, PartitionArena};
 use crate::trace::{self, Stage};
 
 /// What one Heuristic-ReducedOpt invocation produced.
@@ -228,31 +230,21 @@ pub fn plan_component_with(
     let started = trace::now_ns();
     let parts = {
         let _sp = trace::span(Stage::Partition);
-        partition_until_in(nav, comp, params.max_partitions, scratch)
+        partition_until_arena(nav, comp, params.max_partitions, scratch)
     };
+    let count = parts.partition_count();
 
-    if parts.len() == 1 {
+    if count == 1 {
         // The whole component fit one partition (tiny component): reveal
         // the component root's children directly.
-        return tiny_component_fallback(nav, comp, &mut scratch.map, started)
-            .map(|outcome| (outcome, None));
+        return tiny_component_fallback(comp, parts, started).map(|outcome| (outcome, None));
     }
 
-    // Stamp each node's partition id into the scratch map: reduced_parent
-    // becomes an O(1) lookup instead of a per-partition `contains` scan.
     let build_sp = trace::span(Stage::ReducedBuild);
-    let map = &mut scratch.map;
-    map.begin(nav.len());
-    for (pid, p) in parts.iter().enumerate() {
-        for &m in &p.nodes {
-            map.set(m.index(), pid as u32);
-        }
-    }
-
-    let problem = reduced_problem(nav, &parts, map, params);
+    let problem = reduced_problem(nav, parts, params);
     let plan = ReducedPlan {
         problem,
-        unit_roots: parts.iter().map(|p| p.root).collect(),
+        unit_roots: (0..count).map(|p| parts.root_of(p)).collect(),
         memo: Mutex::new(SolveCache::new()),
     };
     let full = plan.full_mask();
@@ -285,8 +277,8 @@ pub fn plan_component_with(
         // reduced tree — every partition whose parent partition is the
         // root's (a valid antichain by construction).
         _ => {
-            let top: Vec<usize> = (1..parts.len())
-                .filter(|&i| reduced_parent(nav, &parts[i], map) == 0)
+            let top: Vec<usize> = (1..count)
+                .filter(|&i| parts.parent_partition(i) == 0)
                 .collect();
             (top, true)
         }
@@ -299,10 +291,10 @@ pub fn plan_component_with(
     } else {
         plan.map_cut(full, lower_units.clone())
     };
-    let cut = EdgeCut::new(lower_units.iter().map(|&u| parts[u].root).collect());
+    let cut = EdgeCut::new(lower_units.iter().map(|&u| parts.root_of(u)).collect());
     let outcome = ExpandOutcome {
         cut,
-        reduced_size: parts.len(),
+        reduced_size: count,
         estimated_cost,
         elapsed: Duration::from_nanos(trace::now_ns().saturating_sub(started)),
         fallback,
@@ -315,26 +307,19 @@ pub fn plan_component_with(
 /// instead of an empty `EdgeCut` — when a stale `comp` from a racing
 /// caller leaves no revealable child.
 fn tiny_component_fallback(
-    nav: &NavigationTree,
     comp: &[NavNodeId],
-    map: &mut NodeMap,
+    parts: &PartitionArena,
     started_ns: u64,
 ) -> Option<ExpandOutcome> {
     debug_assert!(
         comp.len() >= 2,
         "the tiny-component path only runs on multi-node components"
     );
-    map.begin(nav.len());
-    for &n in comp {
-        map.set(n.index(), 1);
-    }
-    let mut children: Vec<NavNodeId> = nav
-        .children(comp[0])
+    let children: Vec<NavNodeId> = parts
+        .root_children()
         .iter()
-        .copied()
-        .filter(|c| map.get(c.index()).is_some())
+        .map(|&c| comp[c as usize])
         .collect();
-    children.dedup();
     debug_assert!(
         children.iter().all(|&c| c != comp[0]),
         "a component root can never be its own revealable child"
@@ -366,13 +351,13 @@ pub fn expand_component(
     plan_component(nav, comp, params).map(|(outcome, _)| outcome)
 }
 
-/// Builds the reduced-tree cut problem over the partitions. `parts[0]` is
-/// the root partition (guaranteed by
-/// [`partition_until`](crate::edgecut::partition::partition_until)), and
-/// `map` holds each component node's partition id. Each partition's
-/// citation set is one `NavigationTree::fold_results` over its
-/// pre-order members, and explore-weight sums run in the same member order
-/// as the historical implementation, keeping the f64 sums bit-identical.
+/// Builds the reduced-tree cut problem over the partitions `parts` laid
+/// out: partition 0 is the root partition, and a partition's parent is the
+/// partition holding its root's parent (two array reads in the component
+/// view). Each partition's citation set is one
+/// `NavigationTree::fold_results` over its pre-order members, and
+/// explore-weight sums run in the same member order as the historical
+/// implementation, keeping the f64 sums bit-identical.
 ///
 /// The `tree_materialize` failpoint (DESIGN.md §5f/§5g) guards this fold:
 /// it has no error channel, so any armed fault fires as an injected panic,
@@ -381,11 +366,10 @@ pub fn expand_component(
 /// on the same cached tree folds anew.
 fn reduced_problem(
     nav: &NavigationTree,
-    parts: &[Partition],
-    map: &NodeMap,
+    parts: &PartitionArena,
     params: &CostParams,
 ) -> CutProblem {
-    let n = parts.len();
+    let n = parts.partition_count();
     let mut parent: Vec<Option<usize>> = Vec::with_capacity(n);
     let mut sets: Vec<CitSet> = Vec::with_capacity(n);
     let mut member_count: Vec<u32> = Vec::with_capacity(n);
@@ -393,20 +377,16 @@ fn reduced_problem(
     if fault::hit(FailSite::TreeMaterialize).is_some() {
         fault::injected_panic(FailSite::TreeMaterialize);
     }
-    for (i, p) in parts.iter().enumerate() {
-        parent.push(if i == 0 {
-            None
-        } else {
-            Some(reduced_parent(nav, p, map))
-        });
+    for p in 0..n {
+        parent.push((p != 0).then(|| parts.parent_partition(p)));
+        let members = parts.members_of(p);
         let mut set = CitSet::new(nav.universe());
-        nav.fold_results(p.nodes.iter().copied(), &mut set);
-        let ew = p
-            .nodes
+        nav.fold_results(members.iter().copied(), &mut set);
+        let ew = members
             .iter()
             .fold(0.0, |ew, &m| ew + nav.explore_weight(m));
         sets.push(set);
-        member_count.push(p.nodes.len() as u32);
+        member_count.push(members.len() as u32);
         explore_weight.push(ew);
     }
     // Partition roots are in pre-order after the root partition, so every
@@ -421,20 +401,6 @@ fn reduced_problem(
         nav.total_explore_weight(),
         params.clone(),
     )
-}
-
-/// Index of the partition containing the navigation parent of `part`'s
-/// root — an O(1) lookup in the stamped partition-id map.
-#[expect(
-    clippy::expect_used,
-    reason = "partition() only emits non-root partitions below the component root, so the nav parent always exists, and the stamped map covers every node of the component by construction (see NodeMap::stamp_component)"
-)]
-fn reduced_parent(nav: &NavigationTree, part: &Partition, map: &NodeMap) -> usize {
-    let up = nav
-        .parent(part.root)
-        .expect("non-root partitions hang below the component root");
-    map.get(up.index())
-        .expect("the parent node belongs to some partition of the same component") as usize
 }
 
 /// The historical two-pass Heuristic-ReducedOpt pipeline, kept verbatim as

@@ -118,10 +118,22 @@ impl Memo<'_> {
 /// The solver: memoizes per-mask results so repeated queries stay cheap.
 /// Created by [`CutProblem::solver`] (private throwaway memo) or
 /// [`CutProblem::solver_with_cache`] (caller-retained memo).
+///
+/// Besides the memo it owns the working buffers of a solve, so the myopic
+/// solve allocates nothing per prefix once they have grown: the
+/// citation-set union behind every distinct count, the prefix list, and
+/// the lower roots of the prefix being scored.
 #[derive(Debug)]
 pub struct CutSolver<'a> {
     problem: &'a CutProblem,
     memo: Memo<'a>,
+    /// Union buffer of `CutProblem::mask_distinct`; sized on first use.
+    union: CitSet,
+    /// Prefix lists, used as a stack: a nested exact solve appends past
+    /// its caller's prefixes and truncates back to them.
+    prefixes: Vec<u64>,
+    /// Lower roots of the prefix [`CutSolver::best_cut_myopic`] is scoring.
+    lower_roots: Vec<usize>,
 }
 
 impl CutProblem {
@@ -260,10 +272,7 @@ impl CutProblem {
 
     /// Creates a solver over this problem with a fresh, throwaway memo.
     pub fn solver(&self) -> CutSolver<'_> {
-        CutSolver {
-            problem: self,
-            memo: Memo::Owned(SolveCache::new()),
-        }
+        self.solver_over(Memo::Owned(SolveCache::new()))
     }
 
     /// Creates a solver that reads and fills a caller-retained
@@ -272,9 +281,16 @@ impl CutProblem {
     /// call the algorithm again" reuse. The cache must have been filled for
     /// *this* problem (masks are problem-relative).
     pub fn solver_with_cache<'a>(&'a self, cache: &'a mut SolveCache) -> CutSolver<'a> {
+        self.solver_over(Memo::Shared(cache))
+    }
+
+    fn solver_over<'a>(&'a self, memo: Memo<'a>) -> CutSolver<'a> {
         CutSolver {
             problem: self,
-            memo: Memo::Shared(cache),
+            memo,
+            union: CitSet::new(0),
+            prefixes: Vec::new(),
+            lower_roots: Vec::new(),
         }
     }
 
@@ -288,8 +304,15 @@ impl CutProblem {
         self.parent[unit]
     }
 
-    fn mask_distinct(&self, mask: u64) -> u32 {
-        let mut acc = CitSet::new(self.sets[0].universe());
+    /// `|∪ R(i)|` over the units of `mask`, unioned into `acc` (which is
+    /// resized to this problem's universe if it has another).
+    fn mask_distinct(&self, mask: u64, acc: &mut CitSet) -> u32 {
+        let universe = self.sets[0].universe();
+        if acc.universe() == universe {
+            acc.clear();
+        } else {
+            *acc = CitSet::new(universe);
+        }
         for i in iter_mask(mask) {
             acc.union_with(&self.sets[i]);
         }
@@ -344,7 +367,7 @@ impl CutSolver<'_> {
     /// no two on one root path).
     pub fn cost_with_first_cut(&mut self, mask: u64, lower_roots: &[usize]) -> f64 {
         let p = self.problem;
-        let distinct = p.mask_distinct(mask);
+        let distinct = p.mask_distinct(mask, &mut self.union);
         let ew: f64 = iter_mask(mask).map(|i| p.explore_weight[i]).sum();
         let members: u32 = iter_mask(mask).map(|i| p.member_count[i]).sum();
         let md: Vec<u32> = iter_mask(mask).map(|i| p.unit_distinct[i]).collect();
@@ -389,19 +412,33 @@ impl CutSolver<'_> {
     }
 
     /// The uncached §V enumeration behind [`CutSolver::best_cut_myopic`].
+    ///
+    /// A lower component is always a unit's whole subtree within `mask`,
+    /// whatever the prefix above it, so each unit's lower read cost is
+    /// priced once up front; a prefix then costs one upper read plus table
+    /// lookups. The score is summed in a fixed order, which its bits depend
+    /// on: the upper read first, then `label_cost + read` per lower root in
+    /// ascending unit order.
     fn compute_myopic(&mut self, mask: u64) -> Option<(Vec<usize>, f64)> {
         let p = self.problem;
         if mask.count_ones() <= 1 {
             return None;
         }
         let root = p.root_of(mask);
+        let mut lower_read = [0.0; 64];
+        for v in iter_mask(mask & !(1u64 << root)) {
+            lower_read[v] = self.component_read_cost(p.subtree_mask[v] & mask);
+        }
+        let start = self.prefixes.len();
+        enumerate_prefixes(p, mask, root, &mut self.prefixes);
         let mut best: Option<(Vec<usize>, f64)> = None;
-        for upper in enumerate_prefixes(p, mask, root) {
+        for at in start..self.prefixes.len() {
+            let upper = self.prefixes[at];
             if upper == mask {
                 continue;
             }
             let mut score = p.params.expand_cost + self.component_read_cost(upper);
-            let mut lower_roots: Vec<usize> = Vec::new();
+            self.lower_roots.clear();
             for v in iter_mask(mask & !upper) {
                 #[expect(
                     clippy::expect_used,
@@ -409,24 +446,25 @@ impl CutSolver<'_> {
                 )]
                 let pv = p.parent[v].expect("non-root units have parents");
                 if upper & (1u64 << pv) != 0 {
-                    lower_roots.push(v);
-                    let sub = p.subtree_mask[v] & mask;
-                    score += p.params.label_cost + self.component_read_cost(sub);
+                    self.lower_roots.push(v);
+                    score += p.params.label_cost + lower_read[v];
                 }
             }
             if best.as_ref().is_none_or(|(_, b)| score < *b) {
-                best = Some((lower_roots, score));
+                best = Some((self.lower_roots.clone(), score));
             }
         }
+        self.prefixes.truncate(start);
         best
     }
 
     /// `pE(C)·|R(C)|`: the expected SHOWRESULTS cost of a component under
     /// the one-step model.
-    fn component_read_cost(&self, mask: u64) -> f64 {
+    fn component_read_cost(&mut self, mask: u64) -> f64 {
         let p = self.problem;
         let ew: f64 = iter_mask(mask).map(|i| p.explore_weight[i]).sum();
-        explore_probability(ew, p.total_explore_weight) * f64::from(p.mask_distinct(mask))
+        explore_probability(ew, p.total_explore_weight)
+            * f64::from(p.mask_distinct(mask, &mut self.union))
     }
 
     fn ensure(&mut self, mask: u64) {
@@ -440,7 +478,7 @@ impl CutSolver<'_> {
     fn compute(&mut self, mask: u64) -> MaskInfo {
         let p = self.problem;
         debug_assert!(mask != 0, "empty component");
-        let distinct = p.mask_distinct(mask);
+        let distinct = p.mask_distinct(mask, &mut self.union);
         let ew: f64 = iter_mask(mask).map(|i| p.explore_weight[i]).sum();
         let members: u32 = iter_mask(mask).map(|i| p.member_count[i]).sum();
         let member_distincts: Vec<u32> = iter_mask(mask).map(|i| p.unit_distinct[i]).collect();
@@ -459,7 +497,11 @@ impl CutSolver<'_> {
         let root = p.root_of(mask);
         let mut best = f64::INFINITY;
         let mut best_cut: Vec<usize> = Vec::new();
-        for upper in enumerate_prefixes(p, mask, root) {
+        let start = self.prefixes.len();
+        enumerate_prefixes(p, mask, root, &mut self.prefixes);
+        let end = self.prefixes.len();
+        for at in start..end {
+            let upper = self.prefixes[at];
             if upper == mask {
                 continue; // proper prefixes only: a cut must cut something
             }
@@ -484,6 +526,7 @@ impl CutSolver<'_> {
                 best_cut = lower_roots;
             }
         }
+        self.prefixes.truncate(start);
         debug_assert!(best.is_finite(), "a multi-unit component always has a cut");
         let cost = p_explore
             * ((1.0 - p_expand) * f64::from(distinct) + p_expand * (p.params.expand_cost + best));
@@ -511,7 +554,7 @@ pub fn simulate_topdown_user(
     coin: &mut dyn FnMut() -> f64,
 ) -> f64 {
     let p = solver.problem;
-    let distinct = p.mask_distinct(mask);
+    let distinct = p.mask_distinct(mask, &mut solver.union);
     let ew: f64 = iter_mask(mask).map(|i| p.explore_weight[i]).sum();
     let members: u32 = iter_mask(mask).map(|i| p.member_count[i]).sum();
     let md: Vec<u32> = iter_mask(mask).map(|i| p.unit_distinct[i]).collect();
@@ -559,26 +602,32 @@ fn iter_mask(mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// All connected rooted prefixes of `mask` containing `root` (including
-/// `{root}` and `mask` itself): the product, over each child subtree, of
-/// "absent" or any of its prefixes.
-fn enumerate_prefixes(p: &CutProblem, mask: u64, root: usize) -> Vec<u64> {
-    let mut acc: Vec<u64> = vec![1u64 << root];
+/// Appends to `out` all connected rooted prefixes of `mask` containing
+/// `root` (including `{root}` and `mask` itself): the product, over each
+/// child subtree, of "absent" or any of its prefixes, the last child
+/// varying fastest. Each product is built past the child's prefixes and
+/// then moved down over its two factors, so `out` is the only buffer.
+fn enumerate_prefixes(p: &CutProblem, mask: u64, root: usize, out: &mut Vec<u64>) {
+    let start = out.len();
+    out.push(1u64 << root);
     for &c in &p.children[root] {
         if mask & (1u64 << c) == 0 {
             continue;
         }
-        let child_prefixes = enumerate_prefixes(p, mask & p.subtree_mask[c], c);
-        let mut next = Vec::with_capacity(acc.len() * (child_prefixes.len() + 1));
-        for &a in &acc {
-            next.push(a); // child subtree absent entirely
-            for &cp in &child_prefixes {
-                next.push(a | cp);
+        let acc_end = out.len();
+        enumerate_prefixes(p, mask & p.subtree_mask[c], c, out);
+        let child_end = out.len();
+        for at in start..acc_end {
+            let a = out[at];
+            out.push(a); // child subtree absent entirely
+            for cp in acc_end..child_end {
+                let cp = out[cp];
+                out.push(a | cp);
             }
         }
-        acc = next;
+        out.copy_within(child_end.., start);
+        out.truncate(out.len() - (child_end - start));
     }
-    acc
 }
 
 #[cfg(test)]
@@ -626,7 +675,8 @@ mod tests {
     #[test]
     fn prefix_enumeration_matches_structure() {
         let p = chain();
-        let prefixes = enumerate_prefixes(&p, p.full_mask(), 0);
+        let mut prefixes = Vec::new();
+        enumerate_prefixes(&p, p.full_mask(), 0, &mut prefixes);
         // Chain prefixes containing the root: {0}, {0,1}, {0,1,2}.
         let mut sorted = prefixes.clone();
         sorted.sort();
@@ -640,7 +690,9 @@ mod tests {
             vec![vec![0], vec![1], vec![2], vec![3]],
             CostParams::default(),
         );
-        let prefixes = enumerate_prefixes(&p, p.full_mask(), 0);
+        let mut prefixes = vec![u64::MAX];
+        enumerate_prefixes(&p, p.full_mask(), 0, &mut prefixes);
+        assert_eq!(prefixes.remove(0), u64::MAX, "appends past what is there");
         // Root plus any subset of 3 leaves: 8 prefixes.
         assert_eq!(prefixes.len(), 8);
         assert!(prefixes.iter().all(|m| m & 1 == 1));
@@ -813,7 +865,7 @@ mod tests {
     /// Brute-force reference: enumerate *every* antichain of edges directly
     /// and evaluate the same cost recursion, without the prefix bijection.
     fn brute_force_cost(p: &CutProblem, mask: u64) -> f64 {
-        let distinct = p.mask_distinct(mask);
+        let distinct = p.mask_distinct(mask, &mut CitSet::new(0));
         let ew: f64 = iter_mask(mask).map(|i| p.explore_weight[i]).sum();
         let members: u32 = iter_mask(mask).map(|i| p.member_count[i]).sum();
         let md: Vec<u32> = iter_mask(mask).map(|i| p.unit_distinct[i]).collect();
@@ -1107,8 +1159,113 @@ mod tests {
             })
         }
 
+        /// Random trees of 2..=9 units (pre-order parents) with random
+        /// small citation lists, and label/expand costs whose sums round.
+        fn myopic_strategy(
+        ) -> impl Strategy<Value = (Vec<Option<usize>>, Vec<Vec<usize>>, CostParams)> {
+            (2usize..=9).prop_flat_map(|n| {
+                let parents = proptest::collection::vec(0usize..n, n - 1);
+                let cits =
+                    proptest::collection::vec(proptest::collection::vec(0usize..12, 0..6), n);
+                let costs = (0usize..4, 0usize..4);
+                (parents, cits, costs).prop_map(|(rawp, cits, (e, l))| {
+                    let mut parents: Vec<Option<usize>> = vec![None];
+                    for (i, p) in rawp.into_iter().enumerate() {
+                        parents.push(Some(p % (i + 1)));
+                    }
+                    let costs = [0.0, 0.3, 1.0, 2.7];
+                    let params = CostParams {
+                        planner: crate::cost::Planner::Exhaustive,
+                        expand_cost: costs[e],
+                        label_cost: costs[l],
+                        ..CostParams::default()
+                    };
+                    (parents, cits, params)
+                })
+            })
+        }
+
+        /// Every valid cut of the whole tree with its §V score, computed
+        /// from first principles: a cut is any non-empty antichain of
+        /// non-root units (ascending), ancestry comes from walking
+        /// `parents`, and distinct counts are `BTreeSet` unions. The score
+        /// is summed in the solver's order: expand cost plus the upper
+        /// read, then `label_cost + read` per lower root, ascending, where
+        /// a read is `pE · |R|` with the explore weight summed over the
+        /// component's units in ascending order.
+        fn brute_force_myopic(
+            parents: &[Option<usize>],
+            cits: &[Vec<usize>],
+            params: &CostParams,
+        ) -> Vec<(Vec<usize>, f64)> {
+            use std::collections::BTreeSet;
+            let n = parents.len();
+            let sets: Vec<BTreeSet<usize>> =
+                cits.iter().map(|c| c.iter().copied().collect()).collect();
+            let weights: Vec<f64> = sets.iter().map(|s| s.len() as f64).collect();
+            let total: f64 = weights.iter().sum();
+            let below = |a: usize, mut b: usize| loop {
+                if a == b {
+                    return true;
+                }
+                match parents[b] {
+                    Some(up) => b = up,
+                    None => return false,
+                }
+            };
+            let read = |units: &[usize]| {
+                let ew: f64 = units.iter().map(|&u| weights[u]).sum();
+                let union: BTreeSet<usize> = units
+                    .iter()
+                    .flat_map(|&u| sets[u].iter().copied())
+                    .collect();
+                explore_probability(ew, total) * union.len() as f64
+            };
+            let mut out = Vec::new();
+            for bits in 1u32..(1 << (n - 1)) {
+                let lower: Vec<usize> = (1..n).filter(|&v| bits & (1 << (v - 1)) != 0).collect();
+                if lower
+                    .iter()
+                    .any(|&a| lower.iter().any(|&b| a != b && below(a, b)))
+                {
+                    continue;
+                }
+                let upper: Vec<usize> = (0..n)
+                    .filter(|&u| !lower.iter().any(|&v| below(v, u)))
+                    .collect();
+                let mut score = params.expand_cost + read(&upper);
+                for &v in &lower {
+                    let sub: Vec<usize> = (0..n).filter(|&u| below(v, u)).collect();
+                    score += params.label_cost + read(&sub);
+                }
+                out.push((lower, score));
+            }
+            out
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The default planner's myopic solve picks a minimum of the
+            /// brute-force scorer over every valid cut, and its score has
+            /// the same bits: pricing a lower root once per mask and reusing
+            /// the union buffer must not reorder any f64 operation.
+            #[test]
+            fn myopic_matches_a_brute_force_scorer_bit_for_bit(
+                (parents, cits, params) in myopic_strategy(),
+            ) {
+                let all = brute_force_myopic(&parents, &cits, &params);
+                let min = all.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
+                let p = problem(parents, cits, params);
+                let (cut, score) = p.solver().best_cut_myopic(p.full_mask()).expect("multi-unit");
+                prop_assert_eq!(score.to_bits(), min.to_bits(), "solver {} vs brute force {}", score, min);
+                let argmins: Vec<&Vec<usize>> = all
+                    .iter()
+                    .filter(|(_, s)| s.to_bits() == min.to_bits())
+                    .map(|(c, _)| c)
+                    .collect();
+                prop_assert!(argmins.contains(&&cut), "cut {:?} is not among the minima {:?}", cut, argmins);
+            }
 
             /// The memoized prefix-bijection DP equals direct antichain
             /// enumeration on every random instance.

@@ -43,8 +43,9 @@
 //! Which of two tied children is detached changes the partitions, so this
 //! rule is load-bearing.
 //!
-//! The pre-search, pre-heap partitioner is kept as the test-only
-//! [`oracle`] module, which the equivalence suites compare against.
+//! The pre-search, pre-heap, pre-view partitioner is kept as the
+//! test-only [`oracle`] module, which the equivalence suites compare
+//! against.
 //!
 //! # Allocation discipline
 //!
@@ -52,15 +53,24 @@
 //! searches `M`; on MeSH-scale components the per-pass `HashMap`
 //! membership index and fresh buffers used to dominate fresh-EXPAND
 //! latency. The `*_in` variants therefore thread a [`NavScratch`] arena
-//! (DESIGN.md §5c) through the pass: membership is an epoch-stamped
-//! node-indexed map, the cluster buffers, the ladder and the heap are
-//! reused across passes, and only the **final** pass materializes
-//! [`Partition`] values. The plain entry points wrap the `*_in` forms with
-//! a throwaway arena and produce bit-identical output.
+//! (DESIGN.md §5c) through the run, which builds one **component view**
+//! in it: an epoch-stamped membership map is stamped once, and the
+//! component's weight column, local parent index and children (CSR
+//! offsets plus indices, in `nav.children` order, holes left out) are
+//! laid out by pre-order position. A pass is then one `copy_from_slice`
+//! of the weights and one reverse sweep over the view, with the heap, the
+//! detached list and the child list being detached from reused across
+//! passes. The accepted pass is laid out once as ranges of one member
+//! array permuted by partition id (ids in pre-order of their roots, a
+//! stable counting pass, no sort), which the serve path's planner reads
+//! in place; only the public entry points copy them into [`Partition`]
+//! values. A warm arena allocates nothing per pass or per partition, and
+//! the plain entry points wrap the `*_in` forms with a throwaway arena
+//! and produce bit-identical output.
 
 use crate::edgecut::counters;
 use crate::navtree::{NavNodeId, NavigationTree};
-use crate::scratch::{NavScratch, NodeMap, PartitionArena};
+use crate::scratch::{NavScratch, NodeMap, PartitionArena, NO_PARENT};
 
 /// One connected partition of a component subtree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,155 +87,218 @@ fn node_weight(nav: &NavigationTree, n: NavNodeId) -> u64 {
     u64::from(nav.results_count(n)).max(1)
 }
 
-/// Runs one bottom-up clustering pass with threshold `max_weight`.
-///
-/// On return `map` holds the component membership index (node slot →
-/// component index, stamped for the current epoch), and `arena.detached`
-/// holds the component indices of the partition roots — the component root
-/// (index 0) last. `arena.cluster_weight` / `arena.cluster_children` /
-/// `arena.heap` are pass-local working state.
-fn cluster_pass(
+/// Builds the component view of `comp` (its nodes in navigation pre-order,
+/// `comp[0]` the component root) in `arena`: the weight column, the local
+/// parent index and the in-component children in CSR form, in
+/// `nav.children` order. `map` is stamped once with the membership index,
+/// so children in a hole (a cut-away component) are left out. Returns the
+/// component weight `W`.
+fn build_view(
     nav: &NavigationTree,
     comp: &[NavNodeId],
-    max_weight: u64,
     map: &mut NodeMap,
     arena: &mut PartitionArena,
-) {
-    counters::note_cluster_pass();
-    // Epoch-stamped membership: node slot -> component index.
+) -> u64 {
     map.begin(nav.len());
     for (i, &n) in comp.iter().enumerate() {
         map.set(n.index(), i as u32);
     }
-
-    // cluster_weight[i]: weight of the still-attached cluster rooted at
-    // comp[i]; cluster_children[i]: attached child cluster roots.
-    if arena.cluster_weight.len() < comp.len() {
-        arena.cluster_weight.resize(comp.len(), 0);
-        arena.cluster_children.resize(comp.len(), Vec::new());
-    }
+    arena.weight.clear();
+    arena.parent.clear();
+    arena.parent.resize(comp.len(), NO_PARENT);
+    arena.child_off.clear();
+    arena.child_idx.clear();
+    arena.child_off.push(0);
+    let mut total = 0;
     for (i, &n) in comp.iter().enumerate() {
-        arena.cluster_weight[i] = node_weight(nav, n);
-        arena.cluster_children[i].clear();
-    }
-    arena.detached.clear();
-
-    // Pre-order guarantees children come after parents; process in reverse.
-    for i in (0..comp.len()).rev() {
-        for &c in nav.children(comp[i]) {
+        let w = node_weight(nav, n);
+        total += w;
+        arena.weight.push(w);
+        for &c in nav.children(n) {
             if let Some(ci) = map.get(c.index()) {
-                let ci = ci as usize;
-                arena.cluster_children[i].push(ci);
-                arena.cluster_weight[i] += arena.cluster_weight[ci];
+                arena.child_idx.push(ci);
+                arena.parent[ci as usize] = i as u32;
             }
         }
-        if arena.cluster_weight[i] > max_weight && !arena.cluster_children[i].is_empty() {
-            detach_heaviest(i, max_weight, arena);
+        arena.child_off.push(arena.child_idx.len() as u32);
+    }
+    arena.cluster_weight.clear();
+    arena.cluster_weight.resize(comp.len(), 0);
+    total
+}
+
+/// Runs one bottom-up clustering pass with threshold `max_weight` over the
+/// view [`build_view`] left in `arena`.
+///
+/// On return `arena.detached` holds the component indices of the partition
+/// roots — the component root (index 0) last. One reverse pre-order sweep:
+/// a node's cluster starts at its own weight, has its children's final
+/// clusters added by the time the sweep reaches it, sheds its heaviest
+/// children while it exceeds `max_weight`, and is then final, so it is
+/// added into its parent's.
+fn cluster_pass(max_weight: u64, arena: &mut PartitionArena) {
+    counters::note_cluster_pass();
+    arena.cluster_weight.copy_from_slice(&arena.weight);
+    arena.detached.clear();
+    for i in (0..arena.weight.len()).rev() {
+        let kids = arena.child_off[i] as usize..arena.child_off[i + 1] as usize;
+        if arena.cluster_weight[i] > max_weight && !kids.is_empty() {
+            detach_heaviest(i, kids, max_weight, arena);
+        }
+        let up = arena.parent[i];
+        if up != NO_PARENT {
+            arena.cluster_weight[up as usize] += arena.cluster_weight[i];
         }
     }
     arena.detached.push(0); // the root's remaining cluster
 }
 
-/// Detaches the heaviest child clusters of component index `i` as finished
-/// partitions until its cluster weighs at most `max_weight` or no child is
-/// left. The heap's top valid key is the last maximum in the child list's
-/// current order (see the module docs), matching the original rescan.
-fn detach_heaviest(i: usize, max_weight: u64, arena: &mut PartitionArena) {
+/// Detaches the heaviest child clusters of component index `i` (its
+/// children are `arena.child_idx[kids]`) as finished partitions until its
+/// cluster weighs at most `max_weight` or no child is left. The heap's top
+/// valid key is the last maximum in the child list's current order (see
+/// the module docs), matching the original rescan.
+fn detach_heaviest(
+    i: usize,
+    kids: std::ops::Range<usize>,
+    max_weight: u64,
+    arena: &mut PartitionArena,
+) {
     let PartitionArena {
+        child_idx,
         cluster_weight,
-        cluster_children,
+        attached,
         detached,
         heap,
         ..
     } = arena;
-    let children = &mut cluster_children[i];
+    attached.clear();
+    attached.extend_from_slice(&child_idx[kids]);
     heap.clear();
     heap.extend(
-        children
+        attached
             .iter()
             .enumerate()
-            .map(|(pos, &c)| (cluster_weight[c], pos)),
+            .map(|(pos, &c)| (cluster_weight[c as usize], pos)),
     );
     while cluster_weight[i] > max_weight {
         let Some((w, pos)) = heap.pop() else {
             break; // every child is detached
         };
-        if pos >= children.len() || cluster_weight[children[pos]] != w {
+        if pos >= attached.len() || cluster_weight[attached[pos] as usize] != w {
             continue; // stale: that child moved or left
         }
-        let heaviest = children.swap_remove(pos);
-        if let Some(&moved) = children.get(pos) {
-            heap.push((cluster_weight[moved], pos));
+        let heaviest = attached.swap_remove(pos);
+        if let Some(&moved) = attached.get(pos) {
+            heap.push((cluster_weight[moved as usize], pos));
         }
         cluster_weight[i] -= w;
         detached.push(heaviest);
     }
 }
 
-/// Materializes the partitions recorded in `arena.detached` by the most
-/// recent [`cluster_pass`] over the same `comp`/`map` state.
-fn materialize(
-    nav: &NavigationTree,
-    comp: &[NavNodeId],
-    map: &NodeMap,
-    arena: &mut PartitionArena,
-) -> Vec<Partition> {
-    // partition_of[i]: partition id of comp[i]; u32::MAX = unassigned.
-    arena.partition_of.clear();
-    arena.partition_of.resize(comp.len(), u32::MAX);
-    for (pid, &root_idx) in arena.detached.iter().enumerate() {
-        arena.partition_of[root_idx] = pid as u32;
+/// Lays out the partitions recorded in `arena.detached` by the most recent
+/// [`cluster_pass`] over the view of `comp`.
+///
+/// Partition ids are numbered in pre-order of their roots, so the
+/// component root's partition is 0; a node that is not a partition root
+/// takes its parent's id in one forward sweep. A stable counting pass then
+/// permutes the members by id into `arena.members`, keeping each
+/// partition's members in pre-order.
+fn lay_out(comp: &[NavNodeId], arena: &mut PartitionArena) {
+    const IS_ROOT: u32 = u32::MAX;
+    let PartitionArena {
+        weight,
+        parent,
+        detached,
+        partition_of,
+        part_off,
+        part_root,
+        part_weight,
+        members,
+        ..
+    } = arena;
+    partition_of.clear();
+    partition_of.resize(comp.len(), 0);
+    for &r in detached.iter() {
+        partition_of[r as usize] = IS_ROOT;
     }
-    // Pre-order pass: a node inherits its parent's partition unless it is a
-    // partition root itself.
-    for (i, &n) in comp.iter().enumerate().skip(1) {
-        if arena.partition_of[i] != u32::MAX {
-            continue;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "skip(1) leaves only non-root members, whose nav parents exist by tree construction"
-        )]
-        let parent = nav.parent(n).expect("non-root nodes have parents");
-        #[expect(
-            clippy::expect_used,
-            reason = "components are parent-closed: the stamped map covers every member's parent (debug-checked below)"
-        )]
-        let pi = map
-            .get(parent.index())
-            .expect("parents of non-root component members are in the component")
-            as usize;
-        debug_assert!(
-            arena.partition_of[pi] != u32::MAX,
-            "pre-order invariant: the parent was assigned before its child"
-        );
-        arena.partition_of[i] = arena.partition_of[pi];
+    part_root.clear();
+    for i in 0..comp.len() {
+        partition_of[i] = if partition_of[i] == IS_ROOT {
+            part_root.push(i as u32);
+            part_root.len() as u32 - 1
+        } else {
+            debug_assert_ne!(
+                parent[i], NO_PARENT,
+                "components are parent-closed: every non-root member's parent is a member"
+            );
+            partition_of[parent[i] as usize]
+        };
+    }
+    let count = part_root.len();
+    part_off.clear();
+    part_off.resize(count + 1, 0);
+    for &p in partition_of.iter() {
+        part_off[p as usize + 1] += 1;
+    }
+    for p in 0..count {
+        part_off[p + 1] += part_off[p];
+    }
+    // Stable placement: each range's cursor starts at its offset and ends
+    // at the next range's, so one shift restores the offsets.
+    members.clear();
+    members.resize(comp.len(), NavNodeId::ROOT);
+    part_weight.clear();
+    part_weight.resize(count, 0);
+    for (i, &n) in comp.iter().enumerate() {
+        let p = partition_of[i] as usize;
+        members[part_off[p] as usize] = n;
+        part_off[p] += 1;
+        part_weight[p] += weight[i];
+    }
+    part_off.copy_within(0..count, 1);
+    part_off[0] = 0;
+}
+impl PartitionArena {
+    /// Number of partitions the last run laid out.
+    pub(crate) fn partition_count(&self) -> usize {
+        self.part_root.len()
     }
 
-    let mut parts: Vec<Partition> = arena
-        .detached
-        .iter()
-        .map(|&ri| Partition {
-            root: comp[ri],
-            nodes: Vec::new(),
-            weight: 0,
-        })
-        .collect();
-    for (i, &n) in comp.iter().enumerate() {
-        let pid = arena.partition_of[i];
-        debug_assert_ne!(pid, u32::MAX, "every node lands in a partition");
-        parts[pid as usize].nodes.push(n);
-        parts[pid as usize].weight += node_weight(nav, n);
+    /// Partition `p`'s members, in navigation pre-order (root first).
+    pub(crate) fn members_of(&self, p: usize) -> &[NavNodeId] {
+        &self.members[self.part_off[p] as usize..self.part_off[p + 1] as usize]
     }
-    // Root partition first, the rest in pre-order of their roots.
-    parts.sort_by_key(|p| {
-        if p.root == comp[0] {
-            (0, p.root.0)
-        } else {
-            (1, p.root.0)
-        }
-    });
-    parts
+
+    /// Partition `p`'s root node.
+    pub(crate) fn root_of(&self, p: usize) -> NavNodeId {
+        self.members[self.part_off[p] as usize]
+    }
+
+    /// The partition holding the parent of partition `p`'s root; `p` must
+    /// not be the root partition 0.
+    pub(crate) fn parent_partition(&self, p: usize) -> usize {
+        let root = self.part_root[p] as usize;
+        debug_assert_ne!(root, 0, "the root partition has no parent");
+        self.partition_of[self.parent[root] as usize] as usize
+    }
+
+    /// Component indices of the component root's in-component children.
+    pub(crate) fn root_children(&self) -> &[u32] {
+        &self.child_idx[self.child_off[0] as usize..self.child_off[1] as usize]
+    }
+
+    /// The laid-out partitions as owned [`Partition`] values.
+    fn partitions(&self) -> Vec<Partition> {
+        (0..self.partition_count())
+            .map(|p| Partition {
+                root: self.root_of(p),
+                nodes: self.members_of(p).to_vec(),
+                weight: self.part_weight[p],
+            })
+            .collect()
+    }
 }
 
 /// Partitions the component given by `comp` (its nodes in navigation
@@ -250,10 +323,11 @@ pub fn partition_component_in(
     scratch: &mut NavScratch,
 ) -> Vec<Partition> {
     assert!(!comp.is_empty(), "cannot partition an empty component");
-    let max_weight = max_weight.max(1);
     let (map, arena) = scratch.parts();
-    cluster_pass(nav, comp, max_weight, map, arena);
-    materialize(nav, comp, map, arena)
+    build_view(nav, comp, map, arena);
+    cluster_pass(max_weight.max(1), arena);
+    lay_out(comp, arena);
+    arena.partitions()
 }
 
 /// The paper's reduction loop: start from `M = W(C)/k` and increase `M`
@@ -271,19 +345,32 @@ pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Ve
 /// This is the rung a linear walk would stop at, because the greedy's
 /// partition count never rises with `M` (module docs). Probes only count
 /// detached clusters; the accepted rung's pass is re-run if the last probe
-/// was elsewhere, and partitions are materialized once, so a run takes at
-/// most `⌈log₂ rungs⌉ + 1` passes and allocates nothing per pass.
+/// was elsewhere, and partitions are laid out once, so a run takes at most
+/// `⌈log₂ rungs⌉ + 1` passes and allocates nothing per pass.
 pub fn partition_until_in(
     nav: &NavigationTree,
     comp: &[NavNodeId],
     k: usize,
     scratch: &mut NavScratch,
 ) -> Vec<Partition> {
+    partition_until_arena(nav, comp, k, scratch).partitions()
+}
+
+/// [`partition_until_in`] without the owned [`Partition`] values: the
+/// partitions stay in the returned arena as ranges of one member array
+/// (see [`PartitionArena::members_of`]). The serve path's planner reads
+/// them there.
+pub(crate) fn partition_until_arena<'s>(
+    nav: &NavigationTree,
+    comp: &[NavNodeId],
+    k: usize,
+    scratch: &'s mut NavScratch,
+) -> &'s PartitionArena {
     assert!(k >= 1);
     assert!(!comp.is_empty(), "cannot partition an empty component");
     counters::note_partition_run();
-    let total: u64 = comp.iter().map(|&n| node_weight(nav, n)).sum();
     let (map, arena) = scratch.parts();
+    let total = build_view(nav, comp, map, arena);
     // 15% steps track the smallest M reaching ≤ k reasonably closely,
     // which keeps the reduced tree as fine-grained as allowed.
     arena.ladder.clear();
@@ -298,7 +385,7 @@ pub fn partition_until_in(
     let mut probed = None;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        cluster_pass(nav, comp, arena.ladder[mid], map, arena);
+        cluster_pass(arena.ladder[mid], arena);
         probed = Some(mid);
         if arena.detached.len() <= k {
             hi = mid;
@@ -307,14 +394,17 @@ pub fn partition_until_in(
         }
     }
     if probed != Some(lo) {
-        cluster_pass(nav, comp, arena.ladder[lo], map, arena);
+        cluster_pass(arena.ladder[lo], arena);
     }
-    materialize(nav, comp, map, arena)
+    lay_out(comp, arena);
+    arena
 }
 
-/// The partitioner as it was before the ladder search and the
-/// heaviest-child heap: a linear walk up the M ladder and a `max_by_key`
-/// rescan after every detach. Kept verbatim as the equivalence oracle for
+/// The partitioner as it was before the ladder search, the
+/// heaviest-child heap and the component view: a linear walk up the M
+/// ladder, a pass that re-stamps the membership map and rebuilds child
+/// lists, a `max_by_key` rescan after every detach, and a sorted
+/// materialization. Kept verbatim as the equivalence oracle for
 /// the partition property tests and for
 /// [`heuristic::reference`](crate::edgecut::heuristic::reference).
 /// **Not used in serving**, and it touches no [`counters`]. Do not
@@ -322,9 +412,25 @@ pub fn partition_until_in(
 /// semantics.
 #[doc(hidden)]
 pub mod oracle {
-    use super::{materialize, node_weight, Partition};
+    use super::{node_weight, Partition};
     use crate::navtree::{NavNodeId, NavigationTree};
-    use crate::scratch::{NavScratch, NodeMap, PartitionArena};
+    use crate::scratch::NodeMap;
+
+    /// The pass buffers as they were before the component view; a private
+    /// copy, so the oracle keeps its semantics whatever the live arena
+    /// becomes.
+    #[derive(Debug, Default)]
+    struct PartitionArena {
+        /// Weight of the still-attached cluster rooted at each component index.
+        cluster_weight: Vec<u64>,
+        /// Attached child cluster roots per component index.
+        cluster_children: Vec<Vec<usize>>,
+        /// Component indices of detached partition roots (the component root
+        /// last).
+        detached: Vec<usize>,
+        /// Partition id per component index (`u32::MAX` = unassigned).
+        partition_of: Vec<u32>,
+    }
 
     /// Runs one bottom-up clustering pass with threshold `max_weight`.
     ///
@@ -389,6 +495,72 @@ pub mod oracle {
         arena.detached.push(0); // the root's remaining cluster
     }
 
+    /// Materializes the partitions recorded in `arena.detached` by the most
+    /// recent [`cluster_pass`] over the same `comp`/`map` state.
+    fn materialize(
+        nav: &NavigationTree,
+        comp: &[NavNodeId],
+        map: &NodeMap,
+        arena: &mut PartitionArena,
+    ) -> Vec<Partition> {
+        // partition_of[i]: partition id of comp[i]; u32::MAX = unassigned.
+        arena.partition_of.clear();
+        arena.partition_of.resize(comp.len(), u32::MAX);
+        for (pid, &root_idx) in arena.detached.iter().enumerate() {
+            arena.partition_of[root_idx] = pid as u32;
+        }
+        // Pre-order pass: a node inherits its parent's partition unless it is a
+        // partition root itself.
+        for (i, &n) in comp.iter().enumerate().skip(1) {
+            if arena.partition_of[i] != u32::MAX {
+                continue;
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "skip(1) leaves only non-root members, whose nav parents exist by tree construction"
+            )]
+            let parent = nav.parent(n).expect("non-root nodes have parents");
+            #[expect(
+                clippy::expect_used,
+                reason = "components are parent-closed: the stamped map covers every member's parent (debug-checked below)"
+            )]
+            let pi = map
+                .get(parent.index())
+                .expect("parents of non-root component members are in the component")
+                as usize;
+            debug_assert!(
+                arena.partition_of[pi] != u32::MAX,
+                "pre-order invariant: the parent was assigned before its child"
+            );
+            arena.partition_of[i] = arena.partition_of[pi];
+        }
+
+        let mut parts: Vec<Partition> = arena
+            .detached
+            .iter()
+            .map(|&ri| Partition {
+                root: comp[ri],
+                nodes: Vec::new(),
+                weight: 0,
+            })
+            .collect();
+        for (i, &n) in comp.iter().enumerate() {
+            let pid = arena.partition_of[i];
+            debug_assert_ne!(pid, u32::MAX, "every node lands in a partition");
+            parts[pid as usize].nodes.push(n);
+            parts[pid as usize].weight += node_weight(nav, n);
+        }
+        // Root partition first, the rest in pre-order of their roots.
+        parts.sort_by_key(|p| {
+            if p.root == comp[0] {
+                (0, p.root.0)
+            } else {
+                (1, p.root.0)
+            }
+        });
+        parts
+    }
+
     /// One clustering pass at threshold `max_weight` (floored at 1).
     pub fn partition_component(
         nav: &NavigationTree,
@@ -396,10 +568,9 @@ pub mod oracle {
         max_weight: u64,
     ) -> Vec<Partition> {
         assert!(!comp.is_empty(), "cannot partition an empty component");
-        let mut scratch = NavScratch::new();
-        let (map, arena) = scratch.parts();
-        cluster_pass(nav, comp, max_weight.max(1), map, arena);
-        materialize(nav, comp, map, arena)
+        let (mut map, mut arena) = (NodeMap::default(), PartitionArena::default());
+        cluster_pass(nav, comp, max_weight.max(1), &mut map, &mut arena);
+        materialize(nav, comp, &map, &mut arena)
     }
 
     /// The linear reduction loop: one pass per ladder rung until at most
@@ -407,10 +578,9 @@ pub mod oracle {
     pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Vec<Partition> {
         assert!(k >= 1);
         assert!(!comp.is_empty(), "cannot partition an empty component");
-        let mut scratch = NavScratch::new();
         let total: u64 = comp.iter().map(|&n| node_weight(nav, n)).sum();
         let mut m = (total / k as u64).max(1);
-        let (map, arena) = scratch.parts();
+        let (map, arena) = (&mut NodeMap::default(), &mut PartitionArena::default());
         loop {
             cluster_pass(nav, comp, m.max(1), map, arena);
             if arena.detached.len() <= k {
@@ -650,6 +820,66 @@ mod tests {
             let fresh = partition_until(&nav, &comp, k);
             let reused = partition_until_in(&nav, &comp, k, &mut scratch);
             assert_eq!(fresh, reused, "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_warm_arena_does_not_allocate() {
+        // Once a round of runs has grown every buffer, repeating those
+        // runs neither moves nor grows one: no probe and no partition
+        // allocates.
+        let nav = nav_with(
+            &[
+                ("a", "A01"),
+                ("a1", "A01.100"),
+                ("a2", "A01.100.100"),
+                ("a3", "A01.200"),
+                ("b", "B01"),
+                ("b1", "B01.100"),
+                ("b2", "B01.200"),
+                ("c", "C01"),
+            ],
+            &[3, 5, 2, 4, 1, 6, 2, 7],
+        );
+        let comp: Vec<NavNodeId> = nav.iter_preorder().collect();
+        let sub = nav.subtree_nodes(nav.children(NavNodeId::ROOT)[0]);
+        let buffers = |a: &PartitionArena| {
+            [
+                (a.weight.as_ptr() as usize, a.weight.capacity()),
+                (a.parent.as_ptr() as usize, a.parent.capacity()),
+                (a.child_off.as_ptr() as usize, a.child_off.capacity()),
+                (a.child_idx.as_ptr() as usize, a.child_idx.capacity()),
+                (
+                    a.cluster_weight.as_ptr() as usize,
+                    a.cluster_weight.capacity(),
+                ),
+                (a.attached.as_ptr() as usize, a.attached.capacity()),
+                (a.detached.as_ptr() as usize, a.detached.capacity()),
+                (a.ladder.as_ptr() as usize, a.ladder.capacity()),
+                (0, a.heap.capacity()),
+                (a.partition_of.as_ptr() as usize, a.partition_of.capacity()),
+                (a.part_off.as_ptr() as usize, a.part_off.capacity()),
+                (a.part_root.as_ptr() as usize, a.part_root.capacity()),
+                (a.part_weight.as_ptr() as usize, a.part_weight.capacity()),
+                (a.members.as_ptr() as usize, a.members.capacity()),
+            ]
+        };
+        let mut scratch = NavScratch::new();
+        let ks = [1usize, 2, 3, 5, comp.len()];
+        // Warm up: one round over every k and both components grows each
+        // buffer to its high-water mark.
+        for k in ks {
+            for c in [&comp, &sub] {
+                partition_until_arena(&nav, c, k, &mut scratch);
+            }
+        }
+        let warm = buffers(&scratch.arena);
+        for k in ks {
+            for c in [&comp, &sub] {
+                let count = partition_until_arena(&nav, c, k, &mut scratch).partition_count();
+                assert!(count >= 1 && count <= k);
+                assert_eq!(buffers(&scratch.arena), warm, "k={k} n={}", c.len());
+            }
         }
     }
 }

@@ -5,21 +5,22 @@
 //! runs several passes while it searches its weight threshold), plus fresh
 //! cluster buffers, a fresh component vector, and a fresh DFS stack — on
 //! MeSH-scale components the hashing and allocation dominated the tail of
-//! the serve bench. [`NavScratch`] replaces all of that with node-indexed,
-//! **epoch-stamped** arrays owned by the caller (a [`Session`] keeps one
-//! for its whole lifetime) and threaded through the partitioner, the
-//! heuristic pipeline, and [`ActiveTree`] expansion:
+//! the serve bench. [`NavScratch`] replaces all of that with arrays owned
+//! by the caller (a [`Session`] keeps one for its whole lifetime) and
+//! threaded through the partitioner, the heuristic pipeline, and
+//! [`ActiveTree`] expansion:
 //!
 //! * [`NodeMap`] — a node → `u32` map whose reset is an epoch bump, not a
 //!   clear: entries from earlier passes simply fail the stamp comparison.
-//!   One plane serves as the component-membership index during
-//!   partitioning, then is re-begun to hold partition ids for the
-//!   reduced-problem build (O(1) `reduced_parent` lookups instead of
-//!   per-partition `Vec::contains` scans).
-//! * [`NavScratch`] — the full arena: the map plus cluster-weight /
-//!   cluster-children / detached-roots buffers, the M ladder and the
-//!   heaviest-child heap for the Kundu–Misra partitioner, and a DFS stack
-//!   for component reassignment.
+//!   A partitioning run stamps it once with the component's membership
+//!   index while it builds the component view.
+//! * [`NavScratch`] — the full arena: the map plus the partition arena,
+//!   which holds one **component view** per run (a component-local CSR:
+//!   weight column, parent index, child offsets and indices), the state
+//!   every ladder probe overwrites, the partitions as ranges of one member
+//!   array, and a DFS stack for component reassignment. After the view is
+//!   built, neither the probes nor the reduced-problem build touch a
+//!   node-indexed map again.
 //!
 //! The arena holds no navigation state — only scratch capacity — so it is
 //! deliberately *not* serialized with sessions and is rebuilt empty on
@@ -79,26 +80,60 @@ impl NodeMap {
 }
 
 /// Reused buffers for the bottom-up partitioner and active-tree expansion.
-/// All state is pass-local; callers overwrite before reading.
+/// All state is run-local; callers overwrite before reading.
+///
+/// A partitioning run fills three groups, each indexed by *component
+/// index* (a member's position in the component's pre-order node list):
+///
+/// * the **component view**, built once per run: the weight column, the
+///   local parent index and the children in CSR form (`child_off` /
+///   `child_idx`, in `nav.children` order, holes left out);
+/// * the **probe state** every ladder probe overwrites: the cluster
+///   weights, the detached roots, the heap and the child list being
+///   detached from;
+/// * the **partitions** of the accepted probe: one member array permuted
+///   by partition id, each partition a pre-order range of it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PartitionArena {
+    /// Node weight `max(1, |R(n)|)` per component index.
+    pub(crate) weight: Vec<u64>,
+    /// Component index of each member's parent ([`NO_PARENT`] for the
+    /// component root).
+    pub(crate) parent: Vec<u32>,
+    /// `child_idx[child_off[i]..child_off[i + 1]]` are member `i`'s
+    /// in-component children.
+    pub(crate) child_off: Vec<u32>,
+    /// Component indices of in-component children, grouped by parent.
+    pub(crate) child_idx: Vec<u32>,
     /// Weight of the still-attached cluster rooted at each component index.
     pub(crate) cluster_weight: Vec<u64>,
-    /// Attached child cluster roots per component index.
-    pub(crate) cluster_children: Vec<Vec<usize>>,
+    /// The attached children of the node being detached from, in the
+    /// order the heap's positions refer to.
+    pub(crate) attached: Vec<u32>,
     /// Component indices of detached partition roots (the component root
     /// last).
-    pub(crate) detached: Vec<usize>,
-    /// Partition id per component index (`u32::MAX` = unassigned).
-    pub(crate) partition_of: Vec<u32>,
+    pub(crate) detached: Vec<u32>,
     /// The threshold ladder `partition_until_in` binary-searches.
     pub(crate) ladder: Vec<u64>,
     /// `(child cluster weight, position in the child list)` max-heap for
     /// picking the heaviest child to detach.
     pub(crate) heap: BinaryHeap<(u64, usize)>,
+    /// Partition id per component index.
+    pub(crate) partition_of: Vec<u32>,
+    /// `members[part_off[p]..part_off[p + 1]]` are partition `p`'s nodes.
+    pub(crate) part_off: Vec<u32>,
+    /// Component index of each partition's root.
+    pub(crate) part_root: Vec<u32>,
+    /// Total weight of each partition.
+    pub(crate) part_weight: Vec<u64>,
+    /// Every member, permuted by partition id; pre-order within a range.
+    pub(crate) members: Vec<NavNodeId>,
     /// DFS stack for component reassignment in `ActiveTree::expand_in`.
     pub(crate) dfs: Vec<NavNodeId>,
 }
+
+/// The [`PartitionArena::parent`] entry of the component root.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// The per-session scratch arena threaded through the EXPAND hot path; see
 /// the module docs. Create one with [`NavScratch::new`] (or `default()`)

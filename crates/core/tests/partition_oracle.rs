@@ -14,6 +14,11 @@
 //!    what makes the binary search exact;
 //! 4. one reused [`NavScratch`] gives the same output as a fresh one.
 //!
+//! Each property runs over the whole tree, one whole subtree, and the
+//! components random nested EdgeCuts leave behind: serving partitions
+//! components with cut-away holes, whose members are not a contiguous
+//! pre-order range.
+//!
 //! A deterministic star fixture also pins the pass count per run
 //! (`edgecut::counters::cluster_passes`), so the search cannot quietly go
 //! back to a linear walk.
@@ -23,7 +28,7 @@ use bionav_core::edgecut::partition::{
     oracle, partition_component, partition_component_in, partition_until, partition_until_in,
 };
 use bionav_core::scratch::NavScratch;
-use bionav_core::{NavNodeId, NavigationTree};
+use bionav_core::{ActiveTree, EdgeCut, NavNodeId, NavigationTree};
 use bionav_medline::{Citation, CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
 use proptest::prelude::*;
@@ -169,9 +174,33 @@ fn ladder(total: u64, k: usize) -> Vec<u64> {
     out
 }
 
-/// The components every property runs over: the whole tree, and the
-/// subtree of the root's widest child when it has one.
-fn components(nav: &NavigationTree) -> Vec<Vec<NavNodeId>> {
+/// One random EdgeCut: `(component pick, member pick, width)`.
+type CutPick = (usize, usize, usize);
+
+fn cut_picks() -> impl Strategy<Value = Vec<CutPick>> {
+    proptest::collection::vec((any::<usize>(), any::<usize>(), 1usize..5), 0..6)
+}
+
+/// Whether `a` is `b` or one of its ancestors.
+fn on_root_path(nav: &NavigationTree, a: NavNodeId, b: NavNodeId) -> bool {
+    let mut at = Some(b);
+    while let Some(n) = at {
+        if n == a {
+            return true;
+        }
+        at = nav.parent(n);
+    }
+    false
+}
+
+/// The components every property runs over: the whole tree, the subtree
+/// of the root's widest child when it has one, and the components left by
+/// applying `picks` in turn. Each pick cuts a multi-node component (so
+/// later cuts nest inside earlier ones and holes sit under holes) with up
+/// to `width` of its members that form an antichain, and the cut
+/// component, now holed, is kept; so is every multi-node component at the
+/// end.
+fn components(nav: &NavigationTree, picks: &[CutPick]) -> Vec<Vec<NavNodeId>> {
     let mut out = vec![nav.iter_preorder().collect::<Vec<_>>()];
     if let Some(&wide) = nav
         .children(NavNodeId::ROOT)
@@ -179,6 +208,42 @@ fn components(nav: &NavigationTree) -> Vec<Vec<NavNodeId>> {
         .max_by_key(|&&c| nav.children(c).len())
     {
         out.push(nav.subtree_nodes(wide));
+    }
+    let mut active = ActiveTree::new(nav);
+    let expandable = |active: &ActiveTree| -> Vec<NavNodeId> {
+        nav.iter_preorder()
+            .filter(|&n| active.is_visible(n) && active.component_size(nav, n) > 1)
+            .collect()
+    };
+    for &(root_pick, node_pick, width) in picks {
+        let roots = expandable(&active);
+        if roots.is_empty() {
+            break;
+        }
+        let root = roots[root_pick % roots.len()];
+        let members = active.component_nodes(nav, root);
+        let mut cut: Vec<NavNodeId> = Vec::new();
+        for j in 0..width {
+            let c = members[1 + (node_pick / (j + 1)) % (members.len() - 1)];
+            if cut
+                .iter()
+                .all(|&k| !on_root_path(nav, k, c) && !on_root_path(nav, c, k))
+            {
+                cut.push(c);
+            }
+        }
+        active
+            .expand(nav, root, &EdgeCut::new(cut))
+            .expect("antichain cuts are valid");
+        if active.component_size(nav, root) > 1 {
+            out.push(active.component_nodes(nav, root));
+        }
+    }
+    for root in expandable(&active) {
+        let comp = active.component_nodes(nav, root);
+        if !out.contains(&comp) {
+            out.push(comp);
+        }
     }
     out
 }
@@ -189,14 +254,14 @@ proptest! {
     /// Property 1 (and 4): the ladder search equals the linear ladder for
     /// every k, with a reused arena and with a fresh one.
     #[test]
-    fn ladder_search_matches_the_linear_oracle(spec in tree_spec()) {
+    fn ladder_search_matches_the_linear_oracle(spec in tree_spec(), picks in cut_picks()) {
         let nav = build_nav(&spec);
         if spec.parents.len() > 500 {
             let fanout = nav.iter_preorder().map(|n| nav.children(n).len()).max();
             prop_assert!(fanout >= Some(500), "star pruned to fanout {:?}", fanout);
         }
         let mut scratch = NavScratch::new();
-        for comp in components(&nav) {
+        for comp in components(&nav, &picks) {
             for k in KS {
                 let want = oracle::partition_until(&nav, &comp, k);
                 let reused = partition_until_in(&nav, &comp, k, &mut scratch);
@@ -213,10 +278,11 @@ proptest! {
     fn single_pass_matches_the_rescan_oracle(
         spec in tree_spec(),
         ms in proptest::collection::vec(0u64..4000, 6),
+        picks in cut_picks(),
     ) {
         let nav = build_nav(&spec);
         let mut scratch = NavScratch::new();
-        for comp in components(&nav) {
+        for comp in components(&nav, &picks) {
             let total = total_weight(&nav, &comp);
             let mut thresholds = ms.clone();
             thresholds.extend([0, 1, 2, total - 1, total, total + 1]);
@@ -233,10 +299,10 @@ proptest! {
     /// Property 3: the partition count never rises along the ladder, and
     /// the last rung always yields one partition.
     #[test]
-    fn partition_count_never_rises_along_the_ladder(spec in tree_spec()) {
+    fn partition_count_never_rises_along_the_ladder(spec in tree_spec(), picks in cut_picks()) {
         let nav = build_nav(&spec);
         let mut scratch = NavScratch::new();
-        for comp in components(&nav) {
+        for comp in components(&nav, &picks) {
             let total = total_weight(&nav, &comp);
             for k in KS {
                 let mut prev = usize::MAX;
@@ -315,7 +381,7 @@ fn one_arena_serves_trees_of_different_sizes() {
     let mut scratch = NavScratch::new();
     for spec in &specs {
         let nav = build_nav(spec);
-        for comp in components(&nav) {
+        for comp in components(&nav, &[(0, 7, 3), (1, 11, 2), (2, 5, 4)]) {
             for k in KS {
                 assert_eq!(
                     partition_until_in(&nav, &comp, k, &mut scratch),

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Perf gate over the repo benchmark (navbench, BENCHMARK.json): EXPAND tail,
-# cold open and tracing overhead, each self-relative to the base commit
-# HEAD^, built and run on the same host.
+# Perf gate over the repo benchmark (navbench, BENCHMARK.json): EXPAND
+# median and tail, cold open, session median and tracing overhead, each
+# self-relative to the base commit HEAD^, built and run on the same host.
 #
 #   scripts/perf_gate.sh
 #
@@ -11,8 +11,9 @@
 # head, base — so neither side always runs first on a warming host — plus
 # one traced working-tree run, and fails unless
 #   - every run is correct with 0 failed operations;
-#   - the mean of the working tree's two expand_p99_ms (and open_p50_ms,
-#     and open_p90_ms) readings is at most 2.0x the mean of HEAD^'s two;
+#   - for each of expand_p50_ms, expand_p99_ms, open_p50_ms, open_p90_ms
+#     and session_p50_ms, the mean of the working tree's two readings is
+#     at most 2.0x the mean of HEAD^'s two;
 #   - the traced run's trace.overhead_frac (sessions/s lost by the traced
 #     passes against the untraced passes they alternate with) is at most 0.08.
 # Everything it builds and writes stays under .perf_gate/ (run logs, the
@@ -81,7 +82,7 @@ for name, r in runs.items():
 def mean(side, key):
     return (metric(f"{side}-1", key) + metric(f"{side}-2", key)) / 2
 
-for key in ("expand_p99_ms", "open_p50_ms", "open_p90_ms"):
+for key in ("expand_p50_ms", "expand_p99_ms", "open_p50_ms", "open_p90_ms", "session_p50_ms"):
     b, h = mean("base", key), mean("head", key)
     ok = h <= FACTOR * b
     print(f"{key:<18} base mean {b:.3f}  head mean {h:.3f}  "

@@ -4,24 +4,22 @@
 //! ```text
 //! reproduce [EXPERIMENT] [--scale S] [--k K]
 //!
-//! EXPERIMENT: all (default) | table1 | fig8 | fig9 | fig10 | fig11 | intro | multi | serve |
-//!             serve-sharded | serve-openloop | ablation-opt | ablation-k |
-//!             ablation-expandcost | ablation-planner | ablation-reuse
+//! EXPERIMENT: all (default) | table1 | fig8 | fig9 | fig10 | fig11 | intro | multi |
+//!             serve-openloop | ablation-opt | ablation-k | ablation-expandcost |
+//!             ablation-planner | ablation-reuse
 //! --scale S:  workload scale, 0 < S ≤ 1 (default 1.0 = paper scale)
 //! --k K:      Heuristic-ReducedOpt partition budget (default 10)
 //! --crawled:  derive associations through the §VII crawl (deployed path)
-//! --workers W: serving-bench worker threads (default: available parallelism)
-//! --rounds R: serving-bench replays per query (default 3)
-//! --out PATH: where the serving bench writes its telemetry JSON
-//!             (default BENCH_serve.json; BENCH_sharded.json for serve-sharded,
-//!             BENCH_openloop.json for serve-openloop)
+//! --workers W: serve-openloop driver threads (default: 4 × available
+//!             parallelism, clamped to 8..=64)
+//! --out PATH: where serve-openloop writes its JSON (default BENCH_openloop.json)
 //!
-//! `serve-sharded` (the 1/2/4/8-shard scaling sweep) and `serve-openloop`
-//! (the Poisson overload sweep that finds the static-cap knee and proves
-//! the adaptive admission plane holds the SLO past it) are *not* included
-//! in `all`: both replay the serving workload many times over, which
-//! would dominate the cheap CI pass. CI runs each in its own step, where
-//! its shape checks are the gate.
+//! `serve-openloop` (the Poisson overload sweep that finds the static-cap
+//! knee and proves the adaptive admission plane holds the SLO past it) is
+//! *not* included in `all`: it replays the serving workload many times
+//! over, which would dominate the cheap CI pass. CI runs it in its own
+//! step, where its shape checks are the gate. The serving path as a whole
+//! is measured by the repo benchmark, `navbench/`.
 //! ```
 //!
 //! Exits non-zero when any shape check fails, so CI can gate on the
@@ -38,7 +36,6 @@ struct Args {
     k: usize,
     crawled: bool,
     workers: Option<usize>,
-    rounds: usize,
     out: Option<String>,
 }
 
@@ -48,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
     let mut k = 10usize;
     let mut crawled = false;
     let mut workers = None;
-    let mut rounds = 3usize;
     let mut out = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -86,17 +82,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 workers = Some(w);
             }
-            "--rounds" => {
-                i += 1;
-                rounds = argv
-                    .get(i)
-                    .ok_or("--rounds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --rounds: {e}"))?;
-                if rounds == 0 {
-                    return Err("--rounds must be at least 1".into());
-                }
-            }
             "--out" => {
                 i += 1;
                 out = Some(argv.get(i).ok_or("--out needs a path")?.clone());
@@ -113,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
         k,
         crawled,
         workers,
-        rounds,
         out,
     })
 }
@@ -126,7 +110,7 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}\n");
             }
             eprintln!(
-                "usage: reproduce [all|table1|fig8|fig9|fig10|fig11|intro|multi|serve|serve-sharded|serve-openloop|ablation-opt|ablation-k|ablation-expandcost|ablation-planner|ablation-reuse] [--scale S] [--k K] [--crawled] [--workers W] [--rounds R] [--out PATH]"
+                "usage: reproduce [all|table1|fig8|fig9|fig10|fig11|intro|multi|serve-openloop|ablation-opt|ablation-k|ablation-expandcost|ablation-planner|ablation-reuse] [--scale S] [--k K] [--crawled] [--workers W] [--out PATH]"
             );
             return if msg == "help" {
                 ExitCode::SUCCESS
@@ -177,8 +161,6 @@ fn main() -> ExitCode {
 
     let mut checks = Vec::new();
     let run = |name: &str| args.experiment == "all" || args.experiment == name;
-    let out =
-        |default: &'static str| std::path::PathBuf::from(args.out.as_deref().unwrap_or(default));
     if run("table1") {
         checks.push(experiments::table1(workload.as_ref().unwrap(), &params));
     }
@@ -203,20 +185,6 @@ fn main() -> ExitCode {
             &params,
         ));
     }
-    if run("serve") {
-        let w = workload.as_ref().unwrap();
-        let workers = args
-            .workers
-            .unwrap_or_else(|| bionav_bench::default_workers(w.queries.len() * args.rounds));
-        checks.push(experiments::serve(
-            w,
-            args.scale,
-            &params,
-            workers,
-            args.rounds,
-            Some(&out("BENCH_serve.json")),
-        ));
-    }
     // Exact name only — see the module docs for why `all` skips it.
     if args.experiment == "serve-openloop" {
         let w = workload.as_ref().unwrap();
@@ -226,27 +194,15 @@ fn main() -> ExitCode {
         // exists to avoid).
         let workers = args
             .workers
-            .unwrap_or_else(|| (bionav_bench::default_workers(usize::MAX) * 4).clamp(8, 64));
+            .unwrap_or_else(|| (bionav_bench::host_cores() * 4).clamp(8, 64));
         checks.push(experiments::serve_openloop(
             w,
             args.scale,
             &params,
             workers,
-            Some(&out("BENCH_openloop.json")),
-        ));
-    }
-    if args.experiment == "serve-sharded" {
-        let w = workload.as_ref().unwrap();
-        let workers = args
-            .workers
-            .unwrap_or_else(|| bionav_bench::default_workers(w.queries.len() * args.rounds));
-        checks.push(experiments::serve_sharded(
-            w,
-            args.scale,
-            &params,
-            workers,
-            args.rounds,
-            Some(&out("BENCH_sharded.json")),
+            Some(std::path::Path::new(
+                args.out.as_deref().unwrap_or("BENCH_openloop.json"),
+            )),
         ));
     }
     if run("ablation-opt") {

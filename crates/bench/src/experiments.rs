@@ -18,7 +18,7 @@ use bionav_core::sim::{simulate_bionav, NavOutcome};
 use bionav_core::{CostParams, NavNodeId, NavigationTree};
 use bionav_workload::{evaluate, QueryEval, Workload};
 
-use crate::report::{write_artifact, write_json, ShapeCheck, Table};
+use crate::report::{write_json, ShapeCheck, Table};
 
 /// Table I: workload characteristics, measured on the realized corpus.
 pub fn table1(workload: &Workload, params: &CostParams) -> ShapeCheck {
@@ -768,17 +768,19 @@ pub fn ablation_expandcost(workload: &Workload) -> ShapeCheck {
     check
 }
 
-/// One query's row inside `BENCH_serve.json`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ServeQueryRow {
-    /// Query name (spec identifier).
-    pub name: String,
+// ---------------------------------------------------------------------------
+// Open-loop overload bench
+// ---------------------------------------------------------------------------
+
+/// One query's sequential reference cost, the anchor every served replay
+/// of its oracle script is compared against.
+struct ServeQueryRow {
     /// EXPANDs in the oracle navigation script.
-    pub expands: usize,
+    expands: usize,
     /// §III interaction cost of one replay.
-    pub interaction_cost: usize,
+    interaction_cost: usize,
     /// Full cost including SHOWRESULTS.
-    pub total_cost: usize,
+    total_cost: usize,
 }
 
 impl ServeQueryRow {
@@ -791,7 +793,7 @@ impl ServeQueryRow {
     }
 }
 
-/// The serving benches' tree builder: the workload's ESearch stand-in, then
+/// The open-loop bench's tree builder: the workload's ESearch stand-in, then
 /// a [`NavigationTree`] over the hits (`None` when there are none).
 fn tree_builder(
     workload: &Workload,
@@ -808,30 +810,7 @@ fn tree_builder(
     }
 }
 
-/// The serving benchmark artifact written to `BENCH_serve.json`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ServeReport {
-    /// Workload scale (1.0 = paper scale).
-    pub scale: f64,
-    /// Logical cores of the host that ran the bench.
-    pub host_cores: usize,
-    /// Worker threads the batch driver used.
-    pub workers: usize,
-    /// How many times each query was replayed.
-    pub rounds: usize,
-    /// Total scripts replayed (`rounds × queries`).
-    pub jobs: usize,
-    /// Engine telemetry of the untraced pass: cache hit rate, per-EXPAND
-    /// p50/p95/p99, sessions/sec, and per-stage percentiles (including the
-    /// `open_session_hit` / `open_session_cold` split).
-    pub stats: bionav_core::ServeStats,
-    /// Span events the traced pass pushed into the global ring.
-    pub trace_events: u64,
-    /// Per-query navigation costs (identical across rounds and workers).
-    pub queries: Vec<ServeQueryRow>,
-}
-
-/// Sequential reference pass shared by the serving benches: each query's
+/// Sequential reference pass for the open-loop bench: each query's
 /// oracle TOPDOWN script (expand the component covering the target until
 /// the target is visible, then SHOWRESULTS) plus its single-threaded cost
 /// — the bit-identical anchor every concurrent replay is checked against.
@@ -866,7 +845,6 @@ fn oracle_scripts(
             .expect("visible targets can SHOWRESULTS");
         script.push(ScriptOp::ShowResults(run.target));
         reference.push(ServeQueryRow {
-            name: q.spec.name.clone(),
             expands: session.cost().expands,
             interaction_cost: session.cost().interaction_cost(),
             total_cost: session.cost().total_cost(),
@@ -875,595 +853,6 @@ fn oracle_scripts(
     }
     (scripts, reference)
 }
-
-/// The serving-layer benchmark: replays the Table I oracle navigations
-/// through the concurrent [`bionav_core::Engine`] — N worker threads, a
-/// shared LRU tree cache, one parked session per in-flight script — and
-/// checks the concurrency is *observably absent* from the results: every
-/// replay's cost equals the single-threaded session's, repeated queries hit
-/// the cache instead of rebuilding, and the telemetry (per-EXPAND
-/// p50/p95/p99, cache hit rate, sessions/sec) lands in `BENCH_serve.json`.
-pub fn serve(
-    workload: &Workload,
-    scale: f64,
-    params: &CostParams,
-    workers: usize,
-    rounds: usize,
-    out: Option<&std::path::Path>,
-) -> ShapeCheck {
-    use bionav_core::engine::{Engine, ScriptOp};
-
-    let mut check = ShapeCheck::new("serve");
-    let rounds = rounds.max(1);
-    let (scripts, reference) = oracle_scripts(workload, params);
-
-    // Cache capacity holds the whole query set so later rounds are pure
-    // hits. A factory, because the bench runs two passes (tracing off,
-    // then tracing on) over fresh engines.
-    let make_engine = || {
-        Engine::new(
-            tree_builder(workload),
-            params.clone(),
-            workload.queries.len().max(1),
-        )
-    };
-    let engine = make_engine();
-
-    // `rounds × queries` jobs, interleaved round-robin so concurrent
-    // workers contend on the cache and the session table.
-    let jobs: Vec<(String, Vec<ScriptOp>)> =
-        (0..rounds).flat_map(|_| scripts.iter().cloned()).collect();
-    let outcomes = engine.replay(&jobs, workers);
-    let stats = engine.stats();
-
-    // Cold-open telemetry from the canonical untraced pass: the
-    // open_session stage plus its cache-hit / cold-build sub-stages (the
-    // engine records one sub-stage sample per open, tape-only, so the
-    // split never double-counts in the span ring).
-    let stage_stat = |name: &str| -> (u64, f64) {
-        stats
-            .stages
-            .iter()
-            .find(|s| s.stage == name)
-            .map_or((0, 0.0), |s| (s.count, s.p99_us))
-    };
-    let (open_count, open_p99) = stage_stat("open_session");
-    let (hit_count, hit_p99) = stage_stat("open_session_hit");
-    let (cold_count, cold_p99) = stage_stat("open_session_cold");
-
-    // Traced pass: the same jobs through a fresh engine with span tracing
-    // enabled. The canonical telemetry stays the untraced pass above; this
-    // pass feeds the Chrome-trace/Prometheus/flight-recorder artifacts and
-    // re-checks that instrumentation never changes a navigation cost.
-    // (Tracing overhead is gated by `scripts/perf_gate.sh` on navbench's
-    // alternated passes, not by comparing these two one-shot p99s.)
-    let pushed_before = bionav_core::trace::ring_pushed();
-    bionav_core::trace::clear_ring();
-    bionav_core::trace::flightrec::reset_flight();
-    bionav_core::trace::set_enabled(true);
-    let traced_engine = make_engine();
-    let traced_outcomes = traced_engine.replay(&jobs, workers);
-    bionav_core::trace::set_enabled(false);
-    let traced_stats = traced_engine.stats();
-    let trace_events = bionav_core::trace::ring_pushed().saturating_sub(pushed_before);
-
-    let mut t = Table::new(
-        format!(
-            "Serving bench — {} workers, {} rounds over {} queries",
-            workers,
-            rounds,
-            scripts.len()
-        ),
-        &["query", "EXPANDs", "concurrent cost", "sequential cost"],
-    );
-    let mut all_match = true;
-    let mut all_completed = true;
-    let mut degraded_jobs = 0u64;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let expected = &reference[i % reference.len()];
-        match outcome {
-            Ok(o) => {
-                all_match &= expected.matches(&o.cost);
-                degraded_jobs += u64::from(o.degraded_expands);
-                if i < reference.len() {
-                    t.row(vec![
-                        expected.name.clone(),
-                        o.cost.expands.to_string(),
-                        o.cost.interaction_cost().to_string(),
-                        expected.interaction_cost.to_string(),
-                    ]);
-                }
-            }
-            Err(_) => all_completed = false,
-        }
-    }
-    t.print();
-
-    let mut s = Table::new("Serving telemetry", &["metric", "value"]);
-    for (metric, value) in [
-        ("cache hit rate", format!("{:.3}", stats.cache_hit_rate)),
-        (
-            "cache hits / misses",
-            format!("{} / {}", stats.cache_hits, stats.cache_misses),
-        ),
-        ("EXPANDs measured", stats.expand_count.to_string()),
-        ("EXPAND p50 (µs)", format!("{:.1}", stats.expand_p50_us)),
-        ("EXPAND p95 (µs)", format!("{:.1}", stats.expand_p95_us)),
-        ("EXPAND p99 (µs)", format!("{:.1}", stats.expand_p99_us)),
-        ("sessions/sec", format!("{:.1}", stats.sessions_per_sec)),
-        ("open_session p99 (µs)", format!("{open_p99:.1}")),
-        ("open_session hit p99 (µs)", format!("{hit_p99:.1}")),
-        ("open_session cold p99 (µs)", format!("{cold_p99:.1}")),
-        (
-            "traced EXPAND p99 (µs)",
-            format!("{:.1}", traced_stats.expand_p99_us),
-        ),
-        ("trace events", trace_events.to_string()),
-    ] {
-        s.row(vec![metric.into(), value]);
-    }
-    s.print();
-
-    let mut b = Table::new(
-        "Per-stage latency (traced pass)",
-        &["stage", "count", "p50 (µs)", "p99 (µs)", "total (ms)"],
-    );
-    for st in &traced_stats.stages {
-        b.row(vec![
-            st.stage.clone(),
-            st.count.to_string(),
-            format!("{:.1}", st.p50_us),
-            format!("{:.1}", st.p99_us),
-            format!("{:.2}", st.total_ms),
-        ]);
-    }
-    b.print();
-
-    check.assert("every replay job completed", all_completed);
-    check.assert(
-        "concurrent replay costs are identical to the sequential session",
-        all_match,
-    );
-    check.assert(
-        format!(
-            "repeated queries hit the tree cache (hit rate {:.3})",
-            stats.cache_hit_rate
-        ),
-        rounds < 2 || stats.cache_hit_rate > 0.0,
-    );
-    check.assert(
-        format!(
-            "one tree build per distinct query ({} misses)",
-            stats.cache_misses
-        ),
-        stats.cache_misses as usize == scripts.len(),
-    );
-    check.assert(
-        format!("EXPAND latency measured ({} samples)", stats.expand_count),
-        stats.expand_count > 0 && stats.expand_p99_us >= stats.expand_p50_us,
-    );
-    check.assert(
-        "all sessions closed after the batch",
-        stats.sessions_active == 0 && stats.sessions_opened == stats.sessions_closed,
-    );
-    // The open_session split must tile: every open is classified as exactly
-    // one of cache-hit or cold-build, and the classification agrees with
-    // the tree cache's own counters.
-    check.assert(
-        format!("every open_session is hit or cold ({open_count} = {hit_count} + {cold_count})"),
-        open_count > 0 && open_count == hit_count + cold_count,
-    );
-    check.assert(
-        format!(
-            "cold-build opens match cache misses ({cold_count} vs {})",
-            stats.cache_misses
-        ),
-        cold_count == stats.cache_misses,
-    );
-    check.assert(
-        format!(
-            "cache-hit opens match cache hits ({hit_count} vs {})",
-            stats.cache_hits
-        ),
-        hit_count == stats.cache_hits,
-    );
-    // The fault plane must be silent on the clean path (DESIGN.md §5f):
-    // with the default policy and no armed failpoints, nothing degrades,
-    // nothing is shed, nothing panics — per-query costs above are the
-    // exact pipeline's, bit-identical to the sequential reference.
-    check.assert(
-        format!(
-            "clean path: no degraded EXPANDs ({} engine, {} per-job)",
-            stats.degraded_expands, degraded_jobs
-        ),
-        stats.degraded_expands == 0 && degraded_jobs == 0,
-    );
-    check.assert(
-        "clean path: nothing shed, no panics, no quarantine",
-        stats.shed_expands == 0 && stats.session_panics == 0 && stats.sessions_quarantined == 0,
-    );
-
-    // The traced pass must be observably identical apart from the latency:
-    // same per-query costs, plus a populated stage breakdown and ring.
-    let traced_match = traced_outcomes.iter().enumerate().all(|(i, o)| {
-        o.as_ref()
-            .is_ok_and(|o| reference[i % reference.len()].matches(&o.cost))
-    });
-    check.assert(
-        "traced-pass replay costs are identical to the untraced pass",
-        traced_match,
-    );
-    let stage_count = |name: &str| {
-        traced_stats
-            .stages
-            .iter()
-            .find(|s| s.stage == name)
-            .map_or(0, |s| s.count)
-    };
-    check.assert(
-        format!(
-            "traced pass recorded the planner stages ({} partitions, {} solves)",
-            stage_count("partition"),
-            stage_count("solve"),
-        ),
-        stage_count("partition") > 0 && stage_count("solve") > 0,
-    );
-    check.assert(
-        format!("traced pass pushed span events to the ring ({trace_events})"),
-        trace_events > 0,
-    );
-
-    // Request-context join: every flight-recorder summary from the traced
-    // pass carries a nonzero request id, and those ids are the same ids
-    // stamped on the span events in the ring — the two artifacts can be
-    // joined offline (CI does exactly that against the Chrome trace).
-    let flight = bionav_core::trace::flightrec::flight_snapshot();
-    check.assert(
-        format!(
-            "flight recorder captured request summaries ({} entries)",
-            flight.len()
-        ),
-        !flight.is_empty(),
-    );
-    check.assert(
-        "every flight-recorder entry names its originating request id",
-        flight.iter().all(|e| e.request_id != 0),
-    );
-    let flight_rids: std::collections::HashSet<u64> = flight.iter().map(|e| e.request_id).collect();
-    let span_rids: std::collections::HashSet<u64> = bionav_core::trace::ring_snapshot()
-        .iter()
-        .map(|e| e.rid)
-        .filter(|&rid| rid != 0)
-        .collect();
-    check.assert(
-        format!(
-            "span-ring request ids join against the flight recorder ({} of {} rids matched)",
-            span_rids.intersection(&flight_rids).count(),
-            span_rids.len()
-        ),
-        !span_rids.is_empty() && span_rids.iter().any(|rid| flight_rids.contains(rid)),
-    );
-
-    if let Some(path) = out {
-        let report = ServeReport {
-            scale,
-            host_cores: crate::host_cores(),
-            workers,
-            rounds,
-            jobs: jobs.len(),
-            trace_events,
-            stats,
-            queries: reference,
-        };
-        write_json(path, &report);
-        // Observability artifacts from the traced pass: a Perfetto-loadable
-        // Chrome trace and a Prometheus text exposition. Derived names
-        // (`BENCH_serve.trace.json`, `BENCH_serve.prom`) sit next to the
-        // telemetry JSON and are not committed.
-        write_artifact(
-            &path.with_extension("trace.json"),
-            &bionav_core::trace::chrome_trace_json(),
-        );
-        write_artifact(
-            &path.with_extension("prom"),
-            &traced_engine.prometheus_text(),
-        );
-        // Flight-recorder dump from the same traced pass; CI joins its
-        // request ids against the Chrome trace's per-event `args.rid`.
-        write_artifact(
-            &path.with_extension("flightrec.json"),
-            &bionav_core::trace::flightrec::entries_json(&flight),
-        );
-    }
-
-    check.print();
-    check
-}
-
-/// Shard counts the scaling bench sweeps.
-const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Per-shard tree-cache capacity for the sweep. Held *constant across the
-/// sweep* — a shard is a fixed resource budget, and scaling out adds
-/// budget — so the tier's aggregate cache grows with the shard count. At
-/// one shard the ten Table I queries thrash a four-slot LRU (every open
-/// is a cold rebuild); by four shards the consistent-hash router splits
-/// the query set into per-shard working sets that fit, and opens become
-/// warm hits. That capacity multiplication is routing invariant 1 of
-/// [`bionav_core::ShardedEngine`], and it is hardware-independent — on a
-/// multi-core host the per-shard locks also stop contending, stacking a
-/// second speedup on top.
-const SHARD_CACHE_CAPACITY: usize = 4;
-
-/// Browse-only sessions (open, look at the roots, close — an empty
-/// script) per Table I query per round. Real serving traffic is mostly
-/// such short sessions; they are exactly the open/close churn the
-/// admission path serializes on, so they dominate the sessions/sec
-/// figure while the oracle scripts anchor correctness.
-const BROWSE_PER_QUERY: usize = 8;
-
-/// The "tier scales" bound: 4 shards must serve at least this many times
-/// the 1-shard sessions/sec. Both figures come from the same run and
-/// host, so the check is self-relative; it keeps the tier from collapsing
-/// back to a routing veneer over one engine.
-const SHARD_SPEEDUP_4_OVER_1: f64 = 2.0;
-
-/// One sweep point of the shard-scaling bench.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ShardSweepRow {
-    /// Shard count of this point.
-    pub shards: usize,
-    /// Tier throughput over the measured window (merged stats).
-    pub sessions_per_sec: f64,
-    /// Merged EXPAND p99 (µs) across shards.
-    pub expand_p99_us: f64,
-    /// Merged open_session p99 (µs) across shards.
-    pub open_session_p99_us: f64,
-    /// Merged tree-cache hit rate — the mechanism behind the scaling.
-    pub cache_hit_rate: f64,
-    /// Cold tree rebuilds in the measured window.
-    pub cache_misses: u64,
-    /// Widest shard stats window (s).
-    pub elapsed_secs: f64,
-}
-
-/// `BENCH_sharded.json`: run provenance plus one row per sweep point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-#[allow(missing_docs)] // field names are the wire format; the row docs cover them
-pub struct ShardedServeReport {
-    pub scale: f64,
-    pub host_cores: usize,
-    pub workers: usize,
-    pub rounds: usize,
-    pub browse_per_query: usize,
-    pub cache_capacity_per_shard: usize,
-    pub jobs_per_point: usize,
-    pub sweep: Vec<ShardSweepRow>,
-}
-
-/// The shard-scaling bench: the same churn-heavy serving workload
-/// (oracle navigations + browse-only sessions over the Table I queries)
-/// replayed through [`bionav_core::ShardedEngine`] tiers of 1, 2, 4, and
-/// 8 shards at a **fixed total worker count** and a **fixed per-shard
-/// cache budget** (`SHARD_CACHE_CAPACITY`). Each point warms the tier,
-/// resets telemetry, then measures one replay window; the merged
-/// sessions/sec per point lands in `BENCH_sharded.json`, and the "tier
-/// scales" shape check requires 4 shards to deliver at least
-/// `SHARD_SPEEDUP_4_OVER_1` (2.0)× the 1-shard sessions/sec. Correctness is
-/// checked the same way `serve` does: every oracle replay's cost is
-/// bit-identical to the sequential session, at every shard count.
-pub fn serve_sharded(
-    workload: &Workload,
-    scale: f64,
-    params: &CostParams,
-    workers: usize,
-    rounds: usize,
-    out: Option<&std::path::Path>,
-) -> ShapeCheck {
-    use bionav_core::engine::{Engine, ScriptOp};
-    use bionav_core::ShardedEngine;
-
-    let mut check = ShapeCheck::new("serve-sharded");
-    let rounds = rounds.max(1);
-    let workers = workers.max(1);
-    let (scripts, reference) = oracle_scripts(workload, params);
-
-    // Round-robin job tape: per round, every query's oracle script once,
-    // then BROWSE_PER_QUERY browse waves cycling across the queries — the
-    // cyclic access pattern is the worst case for an undersized LRU, and
-    // it is what a population of users issuing the whole query mix looks
-    // like to the tier.
-    let mut jobs: Vec<(String, Vec<ScriptOp>)> = Vec::new();
-    for _ in 0..rounds {
-        for (query, script) in &scripts {
-            jobs.push((query.clone(), script.clone()));
-        }
-        for _ in 0..BROWSE_PER_QUERY {
-            for (query, _) in &scripts {
-                jobs.push((query.clone(), Vec::new()));
-            }
-        }
-    }
-    let per_round = scripts.len() * (1 + BROWSE_PER_QUERY);
-    let oracle_row = |i: usize| -> Option<&ServeQueryRow> {
-        let in_round = i % per_round;
-        (in_round < reference.len()).then(|| &reference[in_round])
-    };
-
-    let mut t = Table::new(
-        format!(
-            "Shard scaling — {} total workers, {} jobs/point ({} oracle + {} browse per round × {} rounds)",
-            workers,
-            jobs.len(),
-            scripts.len(),
-            scripts.len() * BROWSE_PER_QUERY,
-            rounds,
-        ),
-        &[
-            "shards",
-            "sessions/sec",
-            "speedup",
-            "hit rate",
-            "cold builds",
-            "EXPAND p99 (µs)",
-            "open p99 (µs)",
-        ],
-    );
-
-    let mut sweep: Vec<ShardSweepRow> = Vec::new();
-    let mut all_completed = true;
-    let mut all_match = true;
-    let mut clean = true;
-    let mut tiled = true;
-    let mut prom_4 = None;
-    for &n_shards in &SHARD_SWEEP {
-        let sharded = ShardedEngine::new(n_shards, |_| {
-            Engine::new(tree_builder(workload), params.clone(), SHARD_CACHE_CAPACITY)
-        });
-
-        // Warm pass (one browse per distinct query): whatever fits each
-        // shard's budget is cached before the window opens, so the sweep
-        // compares steady states, not first-touch effects.
-        let warm: Vec<(String, Vec<ScriptOp>)> = scripts
-            .iter()
-            .map(|(q, _)| (q.clone(), Vec::new()))
-            .collect();
-        for outcome in sharded.replay(&warm, workers) {
-            all_completed &= outcome.is_ok();
-        }
-        sharded.reset_stats();
-
-        let outcomes = sharded.replay(&jobs, workers);
-        let stats = sharded.stats();
-
-        for (i, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                Ok(o) => {
-                    all_match &= oracle_row(i)
-                        .map_or(o.cost.expands == 0, |expected| expected.matches(&o.cost));
-                }
-                Err(_) => all_completed = false,
-            }
-        }
-        tiled &= stats.sessions_opened == jobs.len() as u64
-            && stats.sessions_closed == stats.sessions_opened
-            && stats.sessions_active == 0;
-        clean &= stats.degraded_expands == 0
-            && stats.shed_expands == 0
-            && stats.session_panics == 0
-            && stats.sessions_quarantined == 0;
-
-        let open_p99 = stats
-            .stages
-            .iter()
-            .find(|s| s.stage == "open_session")
-            .map_or(0.0, |s| s.p99_us);
-        let row = ShardSweepRow {
-            shards: n_shards,
-            sessions_per_sec: stats.sessions_per_sec,
-            expand_p99_us: stats.expand_p99_us,
-            open_session_p99_us: open_p99,
-            cache_hit_rate: stats.cache_hit_rate,
-            cache_misses: stats.cache_misses,
-            elapsed_secs: stats.elapsed_secs,
-        };
-        t.row(vec![
-            n_shards.to_string(),
-            format!("{:.1}", row.sessions_per_sec),
-            format!(
-                "{:.2}×",
-                row.sessions_per_sec
-                    / sweep
-                        .first()
-                        .map_or(row.sessions_per_sec, |f: &ShardSweepRow| f.sessions_per_sec)
-            ),
-            format!("{:.3}", row.cache_hit_rate),
-            row.cache_misses.to_string(),
-            format!("{:.1}", row.expand_p99_us),
-            format!("{:.1}", row.open_session_p99_us),
-        ]);
-        if n_shards == 4 {
-            prom_4 = Some(sharded.prometheus_text());
-        }
-        sweep.push(row);
-    }
-    t.print();
-
-    let point = |n: usize| -> &ShardSweepRow {
-        sweep
-            .iter()
-            .find(|r| r.shards == n)
-            .expect("sweep covers 1, 2, 4, 8")
-    };
-    let speedup = point(4).sessions_per_sec / point(1).sessions_per_sec.max(f64::MIN_POSITIVE);
-
-    check.assert(
-        "every replay job completed at every shard count",
-        all_completed,
-    );
-    check.assert(
-        "oracle replay costs are bit-identical to the sequential session at every shard count",
-        all_match,
-    );
-    check.assert(
-        "sessions tile at every point (opened = closed = jobs, none left active)",
-        tiled,
-    );
-    check.assert(
-        "clean path: nothing degraded, shed, panicked, or quarantined",
-        clean,
-    );
-    check.assert(
-        format!(
-            "one shard thrashes its cache budget ({} cold builds, hit rate {:.3})",
-            point(1).cache_misses,
-            point(1).cache_hit_rate
-        ),
-        point(1).cache_misses > 0,
-    );
-    check.assert(
-        format!(
-            "four shards turn the working set warm (hit rate {:.3} vs {:.3})",
-            point(4).cache_hit_rate,
-            point(1).cache_hit_rate
-        ),
-        point(4).cache_hit_rate > point(1).cache_hit_rate,
-    );
-    check.assert(
-        format!(
-            "the tier scales ({speedup:.2}× sessions/sec at 4 shards vs 1, bound \
-             {SHARD_SPEEDUP_4_OVER_1:.1}×)"
-        ),
-        speedup >= SHARD_SPEEDUP_4_OVER_1,
-    );
-
-    if let Some(path) = out {
-        let report = ShardedServeReport {
-            scale,
-            host_cores: crate::host_cores(),
-            workers,
-            rounds,
-            browse_per_query: BROWSE_PER_QUERY,
-            cache_capacity_per_shard: SHARD_CACHE_CAPACITY,
-            jobs_per_point: jobs.len(),
-            sweep,
-        };
-        write_json(path, &report);
-        // Observability artifact: the 4-shard point's Prometheus
-        // exposition, one shard="i"-labeled series set per shard (CI's
-        // observability smoke greps the labels).
-        if let Some(prom) = prom_4 {
-            write_artifact(&path.with_extension("prom"), &prom);
-        }
-    }
-
-    check.print();
-    check
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop overload bench
-// ---------------------------------------------------------------------------
 
 /// Shards the open-loop tier runs with: enough to exercise the per-shard
 /// admission controllers without splitting CI's modest core budget thin.

@@ -94,21 +94,16 @@ impl ShapeCheck {
     }
 }
 
-/// Writes one bench artifact and prints where it went, reporting (not
-/// panicking on) IO errors — bench artifacts are best-effort, shape checks
-/// are not.
-pub fn write_artifact(path: &std::path::Path, contents: &str) {
-    match std::fs::write(path, contents) {
+/// Writes `value` as pretty JSON and prints where it went, reporting (not
+/// panicking on) IO and serialization errors — bench artifacts are
+/// best-effort, shape checks are not.
+pub fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
+    let written = serde_json::to_string_pretty(value)
+        .map_err(|e| e.to_string())
+        .and_then(|json| std::fs::write(path, json + "\n").map_err(|e| e.to_string()));
+    match written {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => println!("WARNING: could not write {}: {e}", path.display()),
-    }
-}
-
-/// [`write_artifact`] of `value` as pretty JSON.
-pub fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => write_artifact(path, &(json + "\n")),
-        Err(e) => println!("WARNING: could not serialize {}: {e}", path.display()),
     }
 }
 

@@ -280,7 +280,8 @@ pub struct ScriptOutcome {
     /// Wall-clock nanoseconds of every EXPAND the script performed.
     pub expand_ns: Vec<u64>,
     /// How many of the script's EXPANDs were answered by the degradation
-    /// ladder (0 on the clean path — asserted by `reproduce -- serve`).
+    /// ladder (0 on the clean path — navbench's `clean_engine_checks`
+    /// fails a run in which anything degrades).
     pub degraded_expands: u32,
 }
 

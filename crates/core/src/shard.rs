@@ -718,6 +718,39 @@ mod tests {
     }
 
     #[test]
+    fn four_shards_hold_the_working_set_one_shard_thrashes() {
+        // Routing invariant 1: sharding multiplies cache capacity. A cyclic
+        // tape of more queries than one shard's 4 LRU slots misses on every
+        // open of a 1-shard tier, while four shards split the set into
+        // per-shard working sets and reopen some of them warm.
+        let (one, labels) = fixture(1);
+        let (four, _) = fixture(4);
+        assert!(labels.len() > 4, "the tape must overflow one 4-slot shard");
+        let cycle = |tier: &ShardedEngine<_>| {
+            for label in &labels {
+                tier.run_script(label, &[]).unwrap();
+            }
+        };
+        cycle(&one);
+        cycle(&four);
+        let first_cycle = one.stats().cache_misses;
+        cycle(&one);
+        cycle(&four);
+        let (one, four) = (one.stats(), four.stats());
+        assert_eq!(
+            one.cache_misses - first_cycle,
+            labels.len() as u64,
+            "one shard must miss on every second-cycle open"
+        );
+        assert!(
+            four.cache_misses < one.cache_misses,
+            "four shards must hold what one thrashes ({} vs {} misses)",
+            four.cache_misses,
+            one.cache_misses
+        );
+    }
+
+    #[test]
     fn replay_preserves_job_order_and_drains_all_shards() {
         let (sharded, labels) = fixture(4);
         let jobs: Vec<(String, Vec<ScriptOp>)> = (0..3)

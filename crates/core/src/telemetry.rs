@@ -693,8 +693,8 @@ impl Snapshot {
 }
 
 /// The serving telemetry report, derived from a [`Snapshot`] by
-/// [`Snapshot::stats`]. Its JSON is what the wire `STATS` verb returns,
-/// what navbench parses, and what `BENCH_serve.json` stores.
+/// [`Snapshot::stats`]. Its JSON is what the wire `STATS` verb returns
+/// and what navbench parses.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServeStats {
     /// Tree-cache lookups that found their tree.

@@ -7,7 +7,8 @@
 //! * Prometheus exposition shape (`# TYPE` lines, cumulative buckets),
 //! * the exposition text and `ServeStats` JSON key order, pinned by a
 //!   golden file (`tests/golden/exposition.prom`),
-//! * Chrome trace JSON shape,
+//! * Chrome trace JSON shape, and its request ids joining the flight
+//!   recorder's,
 //! * the Chrome trace and flight-recorder JSON of two fixed, wrapped local
 //!   rings, pinned by a golden file (`tests/golden/ring_exports.txt`).
 //!
@@ -161,7 +162,7 @@ fn stage_breakdown_counts_match_edgecut_counters() {
 }
 
 /// The open-session split tiles: every open is a cache hit or a cold
-/// build, and every cold build is exactly one tree-cache miss.
+/// build, and each side equals the tree cache's own counter.
 fn assert_open_split_tiles(stats: &ServeStats) {
     let opens = stage_count(stats, Stage::OpenSession);
     let hit = stage_count(stats, Stage::OpenSessionHit);
@@ -173,6 +174,7 @@ fn assert_open_split_tiles(stats: &ServeStats) {
     );
     assert_eq!(opens, hit + cold, "open_session = hit + cold");
     assert_eq!(cold, stats.cache_misses, "cold opens = tree-cache misses");
+    assert_eq!(hit, stats.cache_hits, "hit opens = tree-cache hits");
 }
 
 #[test]
@@ -593,10 +595,11 @@ fn chrome_trace_export_is_loadable_event_json() {
     // and would dilute the rid assertions below.
     let query = multi_node_query(&engine);
     trace::clear_ring();
+    trace::flightrec::reset_flight();
     trace::set_enabled(true);
     trace::set_sample_every(1);
     let id = engine.open_session(&query).unwrap();
-    engine.expand(id, NavNodeId::ROOT).unwrap();
+    let traced = engine.expand(id, NavNodeId::ROOT).unwrap().revealed;
     trace::set_enabled(false);
 
     let json = trace::chrome_trace_json();
@@ -630,6 +633,31 @@ fn chrome_trace_export_is_loadable_event_json() {
         assert!(*d >= 0, "unmatched End for tid {}", e.tid);
     }
     engine.close_session(id).unwrap();
+
+    // The flight recorder summarizes the same requests under the same
+    // ids, so its dump joins against the trace offline.
+    let flight = trace::flightrec::flight_snapshot();
+    assert!(
+        !flight.is_empty(),
+        "traced requests must reach the recorder"
+    );
+    for e in &flight {
+        assert_ne!(e.request_id, 0, "flight entry without a request id");
+        assert!(!e.verb.name().is_empty());
+    }
+    assert!(
+        flight.iter().any(|e| rids.contains(&e.request_id)),
+        "no span rid joins the flight recorder: {rids:?}"
+    );
+
+    // Tracing never changes what the planner reveals: an untraced, cold
+    // engine plans the same cut.
+    let fresh = fixture_engine();
+    let untraced = fresh.open_session(&query).unwrap();
+    assert_eq!(
+        fresh.expand(untraced, NavNodeId::ROOT).unwrap().revealed,
+        traced
+    );
     trace::clear_ring();
 }
 

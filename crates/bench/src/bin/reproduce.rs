@@ -2,25 +2,18 @@
 //! the DESIGN.md ablations, with shape checks.
 //!
 //! ```text
-//! reproduce [EXPERIMENT] [--scale S] [--k K]
+//! reproduce [EXPERIMENT] [--scale S] [--k K] [--crawled]
 //!
 //! EXPERIMENT: all (default) | table1 | fig8 | fig9 | fig10 | fig11 | intro | multi |
-//!             serve-openloop | ablation-opt | ablation-k | ablation-expandcost |
+//!             ablation-opt | ablation-k | ablation-expandcost |
 //!             ablation-planner | ablation-reuse
 //! --scale S:  workload scale, 0 < S ≤ 1 (default 1.0 = paper scale)
 //! --k K:      Heuristic-ReducedOpt partition budget (default 10)
 //! --crawled:  derive associations through the §VII crawl (deployed path)
-//! --workers W: serve-openloop driver threads (default: 4 × available
-//!             parallelism, clamped to 8..=64)
-//! --out PATH: where serve-openloop writes its JSON (default BENCH_openloop.json)
-//!
-//! `serve-openloop` (the Poisson overload sweep that finds the static-cap
-//! knee and proves the adaptive admission plane holds the SLO past it) is
-//! *not* included in `all`: it replays the serving workload many times
-//! over, which would dominate the cheap CI pass. CI runs it in its own
-//! step, where its shape checks are the gate. The serving path as a whole
-//! is measured by the repo benchmark, `navbench/`.
 //! ```
+//!
+//! The serving path (latency, throughput, overload) is measured by the repo
+//! benchmark, `navbench/`, not here; `reproduce` writes no files.
 //!
 //! Exits non-zero when any shape check fails, so CI can gate on the
 //! reproduction staying faithful.
@@ -35,8 +28,6 @@ struct Args {
     scale: f64,
     k: usize,
     crawled: bool,
-    workers: Option<usize>,
-    out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -44,8 +35,6 @@ fn parse_args() -> Result<Args, String> {
     let mut scale = 1.0f64;
     let mut k = 10usize;
     let mut crawled = false;
-    let mut workers = None;
-    let mut out = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -70,22 +59,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --k: {e}"))?;
             }
             "--crawled" => crawled = true,
-            "--workers" => {
-                i += 1;
-                let w: usize = argv
-                    .get(i)
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                workers = Some(w);
-            }
-            "--out" => {
-                i += 1;
-                out = Some(argv.get(i).ok_or("--out needs a path")?.clone());
-            }
             "--help" | "-h" => return Err("help".into()),
             name if !name.starts_with('-') => experiment = name.to_string(),
             other => return Err(format!("unknown flag {other}")),
@@ -97,8 +70,6 @@ fn parse_args() -> Result<Args, String> {
         scale,
         k,
         crawled,
-        workers,
-        out,
     })
 }
 
@@ -110,7 +81,7 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}\n");
             }
             eprintln!(
-                "usage: reproduce [all|table1|fig8|fig9|fig10|fig11|intro|multi|serve-openloop|ablation-opt|ablation-k|ablation-expandcost|ablation-planner|ablation-reuse] [--scale S] [--k K] [--crawled] [--workers W] [--out PATH]"
+                "usage: reproduce [all|table1|fig8|fig9|fig10|fig11|intro|multi|ablation-opt|ablation-k|ablation-expandcost|ablation-planner|ablation-reuse] [--scale S] [--k K] [--crawled]"
             );
             return if msg == "help" {
                 ExitCode::SUCCESS
@@ -183,26 +154,6 @@ fn main() -> ExitCode {
         checks.push(experiments::multi_target(
             workload.as_ref().unwrap(),
             &params,
-        ));
-    }
-    // Exact name only — see the module docs for why `all` skips it.
-    if args.experiment == "serve-openloop" {
-        let w = workload.as_ref().unwrap();
-        // Driver threads, not solver workers: the open-loop harness needs
-        // enough of them that a slow server can't throttle the arrival
-        // schedule (that would be the coordinated omission the bench
-        // exists to avoid).
-        let workers = args
-            .workers
-            .unwrap_or_else(|| (bionav_bench::host_cores() * 4).clamp(8, 64));
-        checks.push(experiments::serve_openloop(
-            w,
-            args.scale,
-            &params,
-            workers,
-            Some(std::path::Path::new(
-                args.out.as_deref().unwrap_or("BENCH_openloop.json"),
-            )),
         ));
     }
     if run("ablation-opt") {

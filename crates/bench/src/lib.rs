@@ -69,16 +69,14 @@ pub fn evaluate_parallel(workload: &Workload, params: &CostParams) -> Vec<QueryE
     .collect()
 }
 
-/// Logical cores of this host (`available_parallelism`; 4 when the
-/// platform cannot tell). Serving reports record it as provenance.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(4, usize::from)
-}
-
-/// Default worker count for bench drivers: the machine's parallelism,
-/// capped by the task count (and at least one).
+/// Default worker count for bench drivers: the machine's parallelism (4
+/// when the platform cannot tell), capped by the task count (and at least
+/// one).
 pub fn default_workers(tasks: usize) -> usize {
-    host_cores().min(tasks).max(1)
+    std::thread::available_parallelism()
+        .map_or(4, usize::from)
+        .min(tasks)
+        .max(1)
 }
 
 #[cfg(test)]

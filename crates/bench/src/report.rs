@@ -94,19 +94,6 @@ impl ShapeCheck {
     }
 }
 
-/// Writes `value` as pretty JSON and prints where it went, reporting (not
-/// panicking on) IO and serialization errors — bench artifacts are
-/// best-effort, shape checks are not.
-pub fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
-    let written = serde_json::to_string_pretty(value)
-        .map_err(|e| e.to_string())
-        .and_then(|json| std::fs::write(path, json + "\n").map_err(|e| e.to_string()));
-    match written {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => println!("WARNING: could not write {}: {e}", path.display()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,7 +68,6 @@ use std::sync::Arc;
 use crate::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::admission::AdmissionGate;
-use crate::slo::{slo_for, SloVerb};
 pub use crate::telemetry::{HealthCounters, ServeStats};
 use crate::telemetry::{Snapshot, Tally, Window};
 use crate::trace::flightrec::{self, Verb};
@@ -490,23 +489,8 @@ pub struct DegradePolicy {
     /// components degrade. `0` disables the budget.
     pub exact_node_budget: usize,
     /// Maximum concurrently in-flight EXPANDs before the admission gate
-    /// sheds with [`EngineError::Overloaded`]. `0` disables the gate. With
-    /// [`DegradePolicy::adaptive_admission`] set this is the AIMD
-    /// controller's *ceiling* instead of the operating point.
+    /// sheds with [`EngineError::Overloaded`]. `0` disables the gate.
     pub max_inflight_expands: usize,
-    /// Run the [`AdmissionGate`] AIMD controller (DESIGN.md §5k): the
-    /// in-flight limit tracks the measured EXPAND latency window against
-    /// the [`crate::slo::SLOS`] target p99 instead of sitting at the
-    /// static cap. Off by default — the clean serve path keeps the fixed
-    /// cap and stays bit-identical.
-    pub adaptive_admission: bool,
-    /// Latency target the AIMD controller compares the EXPAND window
-    /// against, nanoseconds. `0` (the default) uses the global
-    /// [`crate::slo::SLOS`] Expand target; operators tune it per tier in
-    /// the gradient-controller style — unloaded baseline latency × a
-    /// tolerance factor — so the gate reacts to *this* deployment's
-    /// queueing, not an absolute number sized for other hardware.
-    pub admission_target_ns: u64,
     /// When a request carries an absolute deadline
     /// ([`flightrec::RequestCtx::deadline_ns`]), skip the exact planner if
     /// fewer than this many nanoseconds remain at planning time (the exact
@@ -525,8 +509,6 @@ impl Default for DegradePolicy {
         DegradePolicy {
             exact_node_budget: 0,
             max_inflight_expands: 1024,
-            adaptive_admission: false,
-            admission_target_ns: 0,
             deadline_exact_headroom_ns: 5_000_000,
             deadline_static_headroom_ns: 1_000_000,
         }
@@ -677,9 +659,8 @@ where
     window: Window,
     /// Degradation-ladder / admission policy (DESIGN.md §5f).
     policy: DegradePolicy,
-    /// The in-flight EXPAND gate (DESIGN.md §5k): a fixed cap with the
-    /// default policy, the AIMD controller's live limit under
-    /// [`DegradePolicy::adaptive_admission`].
+    /// The in-flight EXPAND gate (DESIGN.md §5k), capped at
+    /// [`DegradePolicy::max_inflight_expands`].
     admission: AdmissionGate,
     /// Shard index for fault-plane scoping (`u64::MAX` = untagged, the
     /// standalone-engine default). A [`crate::shard::ShardedEngine`] tags
@@ -775,16 +756,14 @@ where
 
     /// Replace the degradation/admission policy. Takes `&mut self`: the
     /// policy is plain data read by serving threads, so it can only change
-    /// while no worker holds the engine. The admission gate restarts at
-    /// the new cap (the AIMD controller re-converges from there).
+    /// while no worker holds the engine. The admission gate takes the new
+    /// cap.
     pub fn set_policy(&mut self, policy: DegradePolicy) {
         self.policy = policy;
         self.admission.set_limit(policy.max_inflight_expands);
     }
 
-    /// The live admission limit: the AIMD controller's current operating
-    /// point under [`DegradePolicy::adaptive_admission`], otherwise the
-    /// static cap (0 = ungated).
+    /// The admission gate's in-flight cap (0 = ungated).
     pub fn admission_limit(&self) -> usize {
         self.admission.limit()
     }
@@ -1118,29 +1097,6 @@ where
         Ok(())
     }
 
-    /// One AIMD step when due (DESIGN.md §5k): compare the EXPAND latency
-    /// window against the [`crate::slo::SLOS`] Expand target p99 and move
-    /// the admit limit. The `due` pre-check keeps the histogram snapshot
-    /// off the steady-state hot path (one snapshot per 25 ms per engine,
-    /// max).
-    fn adjust_admission(&self, now_ns: u64) {
-        if !self.policy.adaptive_admission || !self.admission.due(now_ns) {
-            return;
-        }
-        let target_ns = if self.policy.admission_target_ns != 0 {
-            self.policy.admission_target_ns
-        } else {
-            slo_for(SloVerb::Expand).target_p99_ns
-        };
-        let snap = self.window.expand_snapshot();
-        self.admission.adjust(
-            now_ns,
-            snap.count_at_or_below(target_ns),
-            snap.total(),
-            self.policy.max_inflight_expands,
-        );
-    }
-
     /// Decide whether this EXPAND degrades, and why — evaluated with the
     /// session lock held, before any planning work.
     fn choose_degrade(
@@ -1260,9 +1216,6 @@ where
         match isolated {
             Ok(Ok(laddered)) => {
                 self.window.record_expand(ns);
-                // AIMD step (adaptive admission only): rate-limited by the
-                // gate itself, so steady state pays one `due` load here.
-                self.adjust_admission(trace::now_ns());
                 Ok((
                     laddered.map(|(revealed, degraded)| ExpandReply { revealed, degraded }),
                     ns,
@@ -1546,11 +1499,8 @@ where
                 entry.cuts.reset_counters();
             }
         }
-        // The admission *limit* is controller state and survives the reset
-        // (like cached trees); only its latency window restarts. The
-        // flight recorder starts a fresh window and re-arms its
+        // The flight recorder starts a fresh window and re-arms its
         // dump-once-per-reason latches.
-        self.admission.reset_window();
         flightrec::reset_flight();
     }
 }
@@ -2027,71 +1977,58 @@ mod tests {
     fn near_deadline_requests_skip_straight_to_the_static_rung() {
         // A live-but-tight deadline must not be burned on planning work:
         // with the static headroom spanning the whole remaining budget the
-        // ladder answers with the constant-time static cut immediately.
-        let engine = fixture_engine().with_policy(DegradePolicy {
-            deadline_exact_headroom_ns: 3_600_000_000_000,
-            deadline_static_headroom_ns: 3_600_000_000_000,
-            ..DegradePolicy::default()
-        });
-        let query = fixture_query(&engine);
-        let id = engine.open_session(&query).unwrap();
-        let reply = {
-            let _scope = flightrec::request_scope(
-                flightrec::RequestCtx {
-                    request_id: flightrec::mint_request_id(),
-                    session: None,
-                    // Far enough out that the door check always passes,
-                    // inside both headrooms so the rung choice is
-                    // deterministic (no wall-clock race).
-                    deadline_ns: trace::now_ns() + 600_000_000_000,
-                },
-                Verb::Expand,
-            );
-            engine.expand(id, NavNodeId::ROOT).unwrap()
+        // ladder answers with the constant-time static cut immediately,
+        // even where a retained plan would let the myopic rung answer (the
+        // control run, with no static headroom, shows that it would).
+        let near_deadline_expand = |static_headroom_ns: u64| {
+            let mut engine = fixture_engine().with_policy(DegradePolicy {
+                deadline_exact_headroom_ns: 3_600_000_000_000,
+                deadline_static_headroom_ns: static_headroom_ns,
+                ..DegradePolicy::default()
+            });
+            engine.params.reuse_plans = true;
+            let query = fixture_query(&engine);
+            let id = engine.open_session(&query).unwrap();
+            // No deadline yet, so the root EXPAND is exact and retains the
+            // plans of the components it reveals.
+            let first = engine.expand(id, NavNodeId::ROOT).unwrap();
+            assert_eq!(first.degraded, None);
+            let node = engine
+                .with_session(id, |s| {
+                    s.nav()
+                        .iter_preorder()
+                        .find(|&n| s.active().is_visible(n) && s.component_size(n) > 1)
+                })
+                .unwrap()
+                .expect("the root EXPAND reveals a multi-node component");
+            let reply = {
+                let _scope = flightrec::request_scope(
+                    flightrec::RequestCtx {
+                        request_id: flightrec::mint_request_id(),
+                        session: None,
+                        // Far enough out that the door check always passes,
+                        // inside both headrooms so the rung choice is
+                        // deterministic (no wall-clock race).
+                        deadline_ns: trace::now_ns() + 600_000_000_000,
+                    },
+                    Verb::Expand,
+                );
+                engine.expand(id, node).unwrap()
+            };
+            assert_eq!(reply.degraded, Some(DegradeReason::Deadline));
+            assert!(!reply.revealed.is_empty());
+            engine.close_session(id).unwrap();
+            engine.stats()
         };
-        assert_eq!(reply.degraded, Some(DegradeReason::Deadline));
-        assert!(!reply.revealed.is_empty());
-        let stats = engine.stats();
+        let control = near_deadline_expand(0);
+        assert_eq!(
+            control.degraded_myopic, 1,
+            "a retained plan feeds the myopic rung"
+        );
+        let stats = near_deadline_expand(3_600_000_000_000);
         assert_eq!(stats.degraded_static, 1, "static rung must answer");
         assert_eq!(stats.degraded_myopic, 0, "myopic rung must be skipped");
         assert_eq!(stats.deadline_rejects, 0, "the request was served");
-        engine.close_session(id).unwrap();
-    }
-
-    #[test]
-    fn adaptive_admission_halves_on_a_bad_window_and_creeps_back() {
-        use crate::admission::ADJUST_INTERVAL_NS;
-        let engine = fixture_engine().with_policy(DegradePolicy {
-            adaptive_admission: true,
-            max_inflight_expands: 8,
-            ..DegradePolicy::default()
-        });
-        assert_eq!(engine.admission_limit(), 8, "starts at the ceiling");
-
-        // A window entirely over the Expand SLO target halves the limit.
-        let target = slo_for(SloVerb::Expand).target_p99_ns;
-        for _ in 0..32 {
-            engine.window.record_expand(target * 4);
-        }
-        let t1 = trace::now_ns().max(ADJUST_INTERVAL_NS);
-        engine.adjust_admission(t1);
-        assert_eq!(engine.admission_limit(), 4, "multiplicative decrease");
-
-        // A clean window probes back up by one (additive increase).
-        for _ in 0..32 {
-            engine.window.record_expand(1_000);
-        }
-        engine.adjust_admission(t1 + ADJUST_INTERVAL_NS);
-        assert_eq!(engine.admission_limit(), 5, "additive increase");
-
-        // Without `adaptive_admission` the limit is pinned to the policy.
-        let static_engine = fixture_engine();
-        static_engine.adjust_admission(trace::now_ns().max(ADJUST_INTERVAL_NS));
-        assert_eq!(
-            static_engine.admission_limit(),
-            DegradePolicy::default().max_inflight_expands,
-            "static gate never moves"
-        );
     }
 
     #[test]

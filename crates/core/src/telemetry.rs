@@ -427,11 +427,6 @@ impl Window {
         self.stages.record(stage, ns);
     }
 
-    /// The EXPAND histogram alone: the AIMD controller's latency window.
-    pub fn expand_snapshot(&self) -> HistogramSnapshot {
-        self.expand.snapshot()
-    }
-
     /// The breaker's health signals: relaxed atomic loads only, **no**
     /// lock — the `no-cross-shard-lock` rule keeps a router deciding
     /// where to place an open from ever waiting on a shard.
@@ -528,7 +523,7 @@ pub struct Snapshot {
     pub sessions_active: u64,
     /// Parked sessions quarantined after a panic (gauge).
     pub sessions_quarantined: u64,
-    /// The admission gate's live in-flight limit (0 = ungated).
+    /// The admission gate's in-flight cap (0 = ungated).
     pub admission_limit: u64,
     /// Requests fast-failed by an open circuit breaker (tier-owned).
     pub breaker_rejects: u64,
@@ -748,7 +743,7 @@ pub struct ServeStats {
     /// always 0 for a standalone engine — breakers live in the sharded
     /// tier).
     pub breaker_rejects: u64,
-    /// The admission gate's live in-flight limit (summed across shards in
+    /// The admission gate's in-flight cap (summed across shards in
     /// a merged snapshot; 0 = ungated).
     pub admission_limit: u64,
     /// Circuit-breaker state code ([`crate::breaker::BreakerState`]

@@ -238,8 +238,7 @@ pub fn prometheus_text(views: &[(String, Snapshot)]) -> String {
         },
         Family {
             metric: "bionav_admission_limit",
-            help: "Live admission-gate in-flight limit (the AIMD operating \
-                   point under adaptive admission, else the static cap).",
+            help: "Static in-flight EXPAND cap of the admission gate (0 = ungated).",
             kind: "gauge",
             series: |s| vec![("", s.admission_limit)],
         },

@@ -20,8 +20,8 @@
 //!    deadlocks, strands, or misroutes a session,
 //! 6. the overload plane (DESIGN.md §5k): the
 //!    [`bionav_core::admission::AdmissionGate`] under racing
-//!    admit / release / AIMD-adjust (books balance, limit stays in
-//!    `[1, ceiling]`), and the [`bionav_core::breaker::Breaker`] under
+//!    admit / release (books balance, admits never exceed attempts), and
+//!    the [`bionav_core::breaker::Breaker`] under
 //!    racing trip/admit verdicts and post-delay probe elections (one trip
 //!    per CAS, no torn baselines, probes accumulate without lost updates).
 //!
@@ -541,17 +541,16 @@ fn sharded_breaker_trip_vs_inflight_open() {
 // 3c. Overload plane: admission gate and circuit breaker (DESIGN.md §5k)
 // ---------------------------------------------------------------------------
 
-/// Concurrent `try_admit` / guard-drop / AIMD `adjust` against one
+/// Concurrent `try_admit` / guard-drop against one single-slot
 /// [`AdmissionGate`]: in every schedule the books must balance (in-flight
-/// returns to zero once all guards drop), an admitted+shed pair can never
-/// exceed the attempts, and the AIMD step — wherever the scheduler lands
-/// it between the optimistic increments — must keep the limit inside
-/// `[1, ceiling]`.
+/// returns to zero once all guards drop), admits never exceed the
+/// attempts, and an optimistic increment undone by the loser never makes
+/// the gate refuse both callers.
 #[test]
-fn admission_gate_admit_release_adjust_races() {
-    use bionav_core::admission::{AdmissionGate, ADJUST_INTERVAL_NS};
+fn admission_gate_admit_release_races() {
+    use bionav_core::admission::AdmissionGate;
     explore(
-        "admission_gate_admit_release_adjust_races",
+        "admission_gate_admit_release_races",
         Config::default(),
         || {
             let gate = Arc::new(AdmissionGate::new(1));
@@ -565,21 +564,14 @@ fn admission_gate_admit_release_adjust_races() {
                     })
                 })
                 .collect();
-            // An over-budget window races the admits: multiplicative
-            // decrease may land before, between, or after them.
-            gate.adjust(ADJUST_INTERVAL_NS, 0, 100, 4);
             let admitted = workers
                 .into_iter()
                 .map(|w| w.join().unwrap())
                 .filter(|&b| b)
                 .count();
             assert!(admitted <= 2, "admitted more than attempted");
+            assert!(admitted >= 1, "a free slot refused every caller");
             assert_eq!(gate.inflight(), 0, "books must balance after drops");
-            let limit = gate.limit();
-            assert!(
-                (1..=4).contains(&limit),
-                "AIMD limit left [1, ceiling]: {limit}"
-            );
         },
     );
 }

@@ -23,7 +23,7 @@
 //! * [`eval`] — runs the §VIII evaluation: static vs BioNav navigation
 //!   cost (Figs 8–9), expansion timings (Figs 10–11), Table I statistics;
 //! * [`openloop`] — Poisson/Zipf/Markov open-loop arrival schedules for
-//!   the serving-tier overload experiments (coordinated-omission-safe).
+//!   driving the serving tier (navbench's `wire_openloop`).
 //!
 //! ```
 //! use bionav_workload::{Workload, WorkloadConfig};
@@ -45,8 +45,5 @@ pub mod spec;
 
 pub use build::{PreparedQuery, QueryRun, Workload, WorkloadConfig};
 pub use eval::{evaluate, evaluate_query, QueryEval, Table1Row};
-pub use openloop::{
-    served_p99_us, shed_fraction, OpenLoopConfig, SessionOp, SessionOutcome, SessionPlan,
-    SessionStep,
-};
+pub use openloop::{OpenLoopConfig, SessionOp, SessionPlan, SessionStep};
 pub use spec::{paper_queries, QuerySpec, TargetSpec};

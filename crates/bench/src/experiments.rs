@@ -529,32 +529,42 @@ pub fn ablation_opt(seed: u64) -> ShapeCheck {
 pub fn ablation_k(workload: &Workload) -> ShapeCheck {
     let mut t = Table::new(
         "Ablation B — partition budget k",
-        &["k", "mean improvement", "mean expand time"],
+        &[
+            "k",
+            "mean improvement",
+            "mean expand time",
+            "DP prefixes / EXPAND",
+        ],
     );
-    let mut rows: Vec<(usize, f64, Duration)> = Vec::new();
+    let mut rows: Vec<(usize, f64, Duration, f64)> = Vec::new();
     for k in [2usize, 3, 4, 6, 8, 10, 12] {
         let params = CostParams::default().with_max_partitions(k);
-        let evals = crate::evaluate_parallel(workload, &params);
+        let (evals, dp) = crate::evaluate_parallel_counted(workload, &params);
         let mean_imp = evals.iter().map(QueryEval::improvement).sum::<f64>() / evals.len() as f64;
         let mean_time =
             evals.iter().map(|e| e.mean_expand_time()).sum::<Duration>() / evals.len() as u32;
-        rows.push((k, mean_imp, mean_time));
+        let expands: usize = evals.iter().map(|e| e.bionav.trace.len()).sum();
+        let dp_per_expand = dp as f64 / expands.max(1) as f64;
+        rows.push((k, mean_imp, mean_time, dp_per_expand));
         t.row(vec![
             k.to_string(),
             format!("{:.0}%", mean_imp * 100.0),
             format!("{:.2} ms", mean_time.as_secs_f64() * 1e3),
+            format!("{dp_per_expand:.1}"),
         ]);
     }
     t.print();
     let mut check = ShapeCheck::new("ablation-k");
     let at = |k: usize| rows.iter().find(|r| r.0 == k).expect("swept");
+    // Expansion cost is asserted on the solver's DP work, not on wall
+    // clock: two sub-millisecond means swap order on a busy host.
     check.assert(
         format!(
-            "expansion time grows with k ({:.2} ms @k=2 → {:.2} ms @k=12)",
-            at(2).2.as_secs_f64() * 1e3,
-            at(12).2.as_secs_f64() * 1e3
+            "expansion work grows with k ({:.1} DP prefixes / EXPAND @k=2 → {:.1} @k=12)",
+            at(2).3,
+            at(12).3
         ),
-        at(12).2 > at(2).2,
+        at(12).3 > at(2).3,
     );
     check.assert(
         "every k keeps a ≥50% mean improvement",

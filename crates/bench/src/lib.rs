@@ -46,27 +46,48 @@ pub fn build_workload_with(scale: f64, crawl_associations: bool) -> Workload {
 /// completes in roughly the wall-clock of the slowest queries instead of
 /// the sum.
 pub fn evaluate_parallel(workload: &Workload, params: &CostParams) -> Vec<QueryEval> {
+    evaluate_parallel_counted(workload, params).0
+}
+
+/// [`evaluate_parallel`] plus the Opt-EdgeCut DP work of the whole pass:
+/// the upper prefixes the solver scored
+/// ([`counters::dp_prefixes`](bionav_core::edgecut::counters::dp_prefixes)).
+/// The counter is per thread, so each task reads its own worker's delta
+/// and the deltas are summed; the sum is clock-free and deterministic.
+pub fn evaluate_parallel_counted(
+    workload: &Workload,
+    params: &CostParams,
+) -> (Vec<QueryEval>, u64) {
+    use bionav_core::edgecut::counters;
     let tasks: Vec<&str> = workload
         .queries
         .iter()
         .map(|q| q.spec.name.as_str())
         .collect();
-    bionav_core::engine::pool::scoped_map(tasks.len(), default_workers(tasks.len()), |i| {
-        evaluate_query(workload, tasks[i], params)
-    })
-    .into_iter()
-    .map(|slot| match slot {
-        Ok(eval) => eval,
-        // The pool isolates per-task panics (DESIGN.md §5f); for this
-        // offline driver a lost query is fatal, so surface it loudly
-        // instead of silently dropping the row.
-        #[expect(
-            clippy::panic,
-            reason = "offline bench driver: a lost evaluation row must abort the run"
-        )]
-        Err(p) => panic!("evaluation of query #{} panicked: {}", p.task, p.message),
-    })
-    .collect()
+    let mut work = 0;
+    let evals =
+        bionav_core::engine::pool::scoped_map(tasks.len(), default_workers(tasks.len()), |i| {
+            let before = counters::dp_prefixes();
+            let eval = evaluate_query(workload, tasks[i], params);
+            (eval, counters::dp_prefixes() - before)
+        })
+        .into_iter()
+        .map(|slot| match slot {
+            Ok((eval, dp)) => {
+                work += dp;
+                eval
+            }
+            // The pool isolates per-task panics (DESIGN.md §5f); for this
+            // offline driver a lost query is fatal, so surface it loudly
+            // instead of silently dropping the row.
+            #[expect(
+                clippy::panic,
+                reason = "offline bench driver: a lost evaluation row must abort the run"
+            )]
+            Err(p) => panic!("evaluation of query #{} panicked: {}", p.task, p.message),
+        })
+        .collect();
+    (evals, work)
 }
 
 /// Default worker count for bench drivers: the machine's parallelism (4

@@ -2,8 +2,10 @@
 //!
 //! An **active tree** is a navigation tree whose nodes are grouped into
 //! *component subtrees*: the invisible regions between what the user has
-//! already revealed. Each component is identified by its root; the set
-//! `I(n)` of the paper is [`ActiveTree::component_nodes`]. A node expansion
+//! already revealed. Each component is identified by its root, and is its
+//! root's pre-order range minus the ranges of its holes
+//! ([`ActiveTree::component_key`]); the set `I(n)` of the paper is
+//! [`ActiveTree::component_nodes`]. A node expansion
 //! is an [`EdgeCut`]: a set of component-internal edges, no two on one
 //! root-to-leaf path, whose removal turns the component into one *upper*
 //! subtree (still rooted at the expanded node) and one *lower* subtree per
@@ -152,22 +154,34 @@ impl ActiveTree {
     /// The paper's `I(root)`: every node of the component rooted at `root`,
     /// in navigation pre-order (so the component root comes first).
     pub fn component_nodes(&self, nav: &NavigationTree, root: NavNodeId) -> Vec<NavNodeId> {
-        let mut out = Vec::new();
-        self.component_nodes_into(nav, root, &mut out);
-        out
+        self.members(nav, root).collect()
     }
 
-    /// [`ActiveTree::component_nodes`] into a caller-owned buffer — the
-    /// EXPAND hot path reuses one buffer per session instead of allocating
-    /// a fresh component vector per click.
-    pub fn component_nodes_into(
-        &self,
-        nav: &NavigationTree,
-        root: NavNodeId,
-        out: &mut Vec<NavNodeId>,
-    ) {
+    /// The component rooted at `root` as its key: `root` followed by its
+    /// holes, the topmost nodes of `root`'s pre-order range that belong to
+    /// other components, in pre-order. Root and holes name the component
+    /// exactly (it is the range minus the holes' ranges), so the EXPAND hot
+    /// path partitions from them, and the cross-session cut memo keys on
+    /// them, without listing the members. Writes into a caller-owned
+    /// buffer.
+    pub fn component_key(&self, nav: &NavigationTree, root: NavNodeId, out: &mut Vec<NavNodeId>) {
+        debug_assert!(
+            self.is_visible(root),
+            "component queries take a component root"
+        );
         out.clear();
-        out.extend(self.members(nav, root));
+        out.push(root);
+        let end = nav.subtree_end(root);
+        let mut i = root.0 + 1;
+        while i < end {
+            let n = NavNodeId(i);
+            if self.comp_root[n.index()] != root {
+                out.push(n);
+                i = nav.subtree_end(n);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// The members of `root`'s component in pre-order, walking only the

@@ -17,11 +17,11 @@
 //! loop, one reduced-problem build, one exact solve — and the solve's memo
 //! table is *retained inside the returned* [`ReducedPlan`], so the plan,
 //! the outcome and the first [`PlannedCut`] all come from the same pass
-//! (see [`plan_component_with`]). The scratch arena
-//! ([`crate::scratch::NavScratch`]) holds the run's component view and its
-//! partitions as ranges of one member array, which the reduced-problem
-//! build reads in place, eliminating the per-call hash maps and
-//! `Vec::contains` scans of the original implementation. The historical
+//! (see [`plan_component_with`]). The serve path names the component by
+//! its root and its holes (DESIGN.md §5c), never by a member list: the
+//! partitioner leaves each partition in the scratch arena
+//! ([`crate::scratch::NavScratch`]) as its root plus pre-order id runs,
+//! which the reduced-problem build reads in place. The historical
 //! two-pass pipeline survives only as the [`reference`](mod@reference)
 //! module, which the equivalence test-suite replays against this one.
 
@@ -34,7 +34,7 @@ use crate::bitset::CitSet;
 use crate::cost::CostParams;
 use crate::edgecut::counters;
 use crate::edgecut::opt::{CutProblem, SolveCache};
-use crate::edgecut::partition::{partition_until_arena, Partition};
+use crate::edgecut::partition::{component_len, holes_of, partition_until_arena, Partition};
 use crate::fault::{self, FailSite};
 use crate::navtree::{NavNodeId, NavigationTree};
 use crate::scratch::{NavScratch, PartitionArena};
@@ -67,8 +67,10 @@ pub fn heuristic_reduced_opt(
     root: NavNodeId,
     params: &CostParams,
 ) -> Option<ExpandOutcome> {
-    let comp = active.component_nodes(nav, root);
-    expand_component(nav, &comp, params)
+    let mut key = Vec::new();
+    active.component_key(nav, root, &mut key);
+    let mut scratch = PartitionArena::default();
+    plan_at(nav, root, &key[1..], params, &mut scratch).map(|(outcome, _)| outcome)
 }
 
 /// A retained reduced tree, enabling the §VI-B reuse: "once Opt-EdgeCut is
@@ -213,11 +215,13 @@ pub fn plan_component(
     plan_component_with(nav, comp, params, &mut scratch)
 }
 
-/// The single-pass Heuristic-ReducedOpt pipeline: **one** partitioning
+/// The single-pass Heuristic-ReducedOpt pipeline on the component given
+/// by its node list (pre-order, `comp[0]` the root): **one** partitioning
 /// loop, **one** reduced-problem build, **one** exact solve — whose memo
 /// is retained in the returned plan — and the outcome plus first planned
-/// cut derived from that same solve. `scratch` supplies all transient
-/// state; a session threads one arena through every expansion.
+/// cut derived from that same solve. Derives the component's holes in
+/// `scratch` and runs the same `(root, holes)` pipeline the serve path
+/// does; `scratch` supplies all transient state.
 pub fn plan_component_with(
     nav: &NavigationTree,
     comp: &[NavNodeId],
@@ -227,17 +231,36 @@ pub fn plan_component_with(
     if comp.len() < 2 {
         return None;
     }
+    let NavScratch { holes, arena } = scratch;
+    holes_of(nav, comp, holes);
+    plan_at(nav, comp[0], holes, params, arena)
+}
+
+/// [`plan_component_with`] on the component `(root, holes)` (holes
+/// sorted, as [`ActiveTree::component_key`] writes them). `arena`
+/// supplies all transient state; a session threads one arena through
+/// every expansion.
+pub(crate) fn plan_at(
+    nav: &NavigationTree,
+    root: NavNodeId,
+    holes: &[NavNodeId],
+    params: &CostParams,
+    arena: &mut PartitionArena,
+) -> Option<(ExpandOutcome, Option<(ReducedPlan, PlannedCut)>)> {
+    if component_len(nav, root, holes) < 2 {
+        return None;
+    }
     let started = trace::now_ns();
     let parts = {
         let _sp = trace::span(Stage::Partition);
-        partition_until_arena(nav, comp, params.max_partitions, scratch)
+        partition_until_arena(nav, root, holes, params.max_partitions, arena)
     };
     let count = parts.partition_count();
 
     if count == 1 {
         // The whole component fit one partition (tiny component): reveal
         // the component root's children directly.
-        return tiny_component_fallback(comp, parts, started).map(|outcome| (outcome, None));
+        return tiny_component_fallback(nav, root, holes, started).map(|outcome| (outcome, None));
     }
 
     let build_sp = trace::span(Stage::ReducedBuild);
@@ -303,30 +326,23 @@ pub fn plan_component_with(
 }
 
 /// The tiny-component path: the whole component fit one partition, so
-/// reveal the component root's in-component children. Returns `None` —
-/// instead of an empty `EdgeCut` — when a stale `comp` from a racing
-/// caller leaves no revealable child.
+/// reveal the component root's children that are not holes. Returns
+/// `None` — instead of an empty `EdgeCut` — when no revealable child is
+/// left.
 fn tiny_component_fallback(
-    comp: &[NavNodeId],
-    parts: &PartitionArena,
+    nav: &NavigationTree,
+    root: NavNodeId,
+    holes: &[NavNodeId],
     started_ns: u64,
 ) -> Option<ExpandOutcome> {
-    debug_assert!(
-        comp.len() >= 2,
-        "the tiny-component path only runs on multi-node components"
-    );
-    let children: Vec<NavNodeId> = parts
-        .root_children()
+    let children: Vec<NavNodeId> = nav
+        .children(root)
         .iter()
-        .map(|&c| comp[c as usize])
+        .copied()
+        .filter(|c| holes.binary_search(c).is_err())
         .collect();
-    debug_assert!(
-        children.iter().all(|&c| c != comp[0]),
-        "a component root can never be its own revealable child"
-    );
     if children.is_empty() {
-        // Typed decline, not an empty EdgeCut: a stale `comp` from a racing
-        // caller leaves nothing revealable; the caller maps None onto
+        // Typed decline, not an empty EdgeCut: the caller maps None onto
         // EdgeCutError::EmptyCut and the session surfaces it.
         return None;
     }
@@ -352,12 +368,11 @@ pub fn expand_component(
 }
 
 /// Builds the reduced-tree cut problem over the partitions `parts` laid
-/// out: partition 0 is the root partition, and a partition's parent is the
-/// partition holding its root's parent (two array reads in the component
-/// view). Each partition's citation set is one
-/// `NavigationTree::fold_results` over its pre-order members, and
-/// explore-weight sums run in the same member order as the historical
-/// implementation, keeping the f64 sums bit-identical.
+/// out: partition 0 is the root partition, and each partition's parent was
+/// assigned with the layout. Each partition's citation set is folded from
+/// its pre-order id runs, one result-list slice per run, and explore-weight
+/// sums visit its members in pre-order, as the historical implementation
+/// did, keeping the f64 sums bit-identical.
 ///
 /// The `tree_materialize` failpoint (DESIGN.md §5f/§5g) guards this fold:
 /// it has no error channel, so any armed fault fires as an injected panic,
@@ -379,20 +394,20 @@ fn reduced_problem(
     }
     for p in 0..n {
         parent.push((p != 0).then(|| parts.parent_partition(p)));
-        let members = parts.members_of(p);
         let mut set = CitSet::new(nav.universe());
-        nav.fold_results(members.iter().copied(), &mut set);
-        let ew = members
-            .iter()
-            .fold(0.0, |ew, &m| ew + nav.explore_weight(m));
+        let (mut members, mut ew) = (0, 0.0);
+        for &(a, b) in parts.runs_of(p) {
+            nav.fold_run(a, b, &mut set);
+            members += b - a;
+            ew = (a..b).fold(ew, |ew, m| ew + nav.explore_weight(NavNodeId(m)));
+        }
         sets.push(set);
-        member_count.push(members.len() as u32);
+        member_count.push(members);
         explore_weight.push(ew);
     }
-    // Partition roots are in pre-order after the root partition, so every
-    // partition's parent partition has a smaller index... except when an
-    // earlier-rooted partition hangs below a later-rooted one, which cannot
-    // happen: the parent of a partition root precedes it in pre-order.
+    // Partition ids follow the pre-order of their roots, so every
+    // partition's parent partition has a smaller index: the parent of a
+    // partition root precedes it in pre-order.
     CutProblem::new(
         parent,
         sets,

@@ -38,6 +38,8 @@ pub mod counters {
     thread_local! {
         static PARTITION_RUNS: Cell<u64> = const { Cell::new(0) };
         static CLUSTER_PASSES: Cell<u64> = const { Cell::new(0) };
+        static CLUSTER_NODES: Cell<u64> = const { Cell::new(0) };
+        static DP_PREFIXES: Cell<u64> = const { Cell::new(0) };
         static PLAN_SOLVES: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -45,6 +47,8 @@ pub mod counters {
     pub fn reset() {
         PARTITION_RUNS.with(|c| c.set(0));
         CLUSTER_PASSES.with(|c| c.set(0));
+        CLUSTER_NODES.with(|c| c.set(0));
+        DP_PREFIXES.with(|c| c.set(0));
         PLAN_SOLVES.with(|c| c.set(0));
     }
 
@@ -64,6 +68,21 @@ pub mod counters {
         CLUSTER_PASSES.with(|c| c.get())
     }
 
+    /// Nodes visited by clustering passes on this thread since the last
+    /// [`reset`], summed over passes: each pass sweeps its run's heavy
+    /// view once, so this is the clock-free measure of partition work.
+    pub fn cluster_nodes() -> u64 {
+        CLUSTER_NODES.with(|c| c.get())
+    }
+
+    /// Upper prefixes the Opt-EdgeCut solver scored on this thread since
+    /// the last [`reset`], over exact and myopic solves alike: the
+    /// clock-free measure of DP work, which grows exponentially with the
+    /// reduced tree's size.
+    pub fn dp_prefixes() -> u64 {
+        DP_PREFIXES.with(|c| c.get())
+    }
+
     /// Number of fresh reduced-problem solves on this thread since the
     /// last [`reset`]. Retained-plan cuts served from the memo do not
     /// count.
@@ -75,8 +94,13 @@ pub mod counters {
         PARTITION_RUNS.with(|c| c.set(c.get() + 1));
     }
 
-    pub(crate) fn note_cluster_pass() {
+    pub(crate) fn note_cluster_pass(nodes: usize) {
         CLUSTER_PASSES.with(|c| c.set(c.get() + 1));
+        CLUSTER_NODES.with(|c| c.set(c.get() + nodes as u64));
+    }
+
+    pub(crate) fn note_dp_prefixes(prefixes: usize) {
+        DP_PREFIXES.with(|c| c.set(c.get() + prefixes as u64));
     }
 
     pub(crate) fn note_plan_solve() {

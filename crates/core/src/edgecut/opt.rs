@@ -31,6 +31,7 @@ use std::collections::HashMap;
 
 use crate::bitset::CitSet;
 use crate::cost::CostParams;
+use crate::edgecut::counters;
 use crate::prob::{expand_probability, explore_probability};
 
 /// An exact best-EdgeCut problem instance over at most
@@ -431,6 +432,7 @@ impl CutSolver<'_> {
         }
         let start = self.prefixes.len();
         enumerate_prefixes(p, mask, root, &mut self.prefixes);
+        counters::note_dp_prefixes(self.prefixes.len() - start);
         let mut best: Option<(Vec<usize>, f64)> = None;
         for at in start..self.prefixes.len() {
             let upper = self.prefixes[at];
@@ -500,6 +502,7 @@ impl CutSolver<'_> {
         let start = self.prefixes.len();
         enumerate_prefixes(p, mask, root, &mut self.prefixes);
         let end = self.prefixes.len();
+        counters::note_dp_prefixes(end - start);
         for at in start..end {
             let upper = self.prefixes[at];
             if upper == mask {

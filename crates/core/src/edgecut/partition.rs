@@ -47,30 +47,41 @@
 //! test-only [`oracle`] module, which the equivalence suites compare
 //! against.
 //!
-//! # Allocation discipline
+//! # Components as root plus holes
 //!
-//! [`partition_until`] runs the clustering pass several times while it
-//! searches `M`; on MeSH-scale components the per-pass `HashMap`
-//! membership index and fresh buffers used to dominate fresh-EXPAND
-//! latency. The `*_in` variants therefore thread a [`NavScratch`] arena
-//! (DESIGN.md §5c) through the run, which builds one **component view**
-//! in it: an epoch-stamped membership map is stamped once, and the
-//! component's weight column, local parent index and children (CSR
-//! offsets plus indices, in `nav.children` order, holes left out) are
-//! laid out by pre-order position. A pass is then one `copy_from_slice`
-//! of the weights and one reverse sweep over the view, with the heap, the
-//! detached list and the child list being detached from reused across
-//! passes. The accepted pass is laid out once as ranges of one member
-//! array permuted by partition id (ids in pre-order of their roots, a
-//! stable counting pass, no sort), which the serve path's planner reads
-//! in place; only the public entry points copy them into [`Partition`]
-//! values. A warm arena allocates nothing per pass or per partition, and
-//! the plain entry points wrap the `*_in` forms with a throwaway arena
-//! and produce bit-identical output.
+//! The serve path never lists a component's members. A component is its
+//! root plus its **holes**, the topmost cut-away roots inside
+//! `root..subtree_end(root)` (DESIGN.md §5c), so with the tree's prefix
+//! column of node weights a member's in-component subtree weight `S(n)` is
+//! one range difference minus the holes' ranges inside it. A member with
+//! `S(n) ≤ M₀` can never shed a cluster at any rung `M ≥ M₀`: its cluster
+//! never outweighs `S(n)`. So a run builds one **heavy view** for its
+//! lowest rung — the members with `S(n) > M₀`, which form an
+//! ancestor-closed subtree, at their own weights, plus each light child of
+//! one as a single leaf of weight `S(c)` — and every probe runs the
+//! unchanged greedy over it: the same reverse order, the same heap key
+//! over the same hole-free child lists, the same cluster weights arriving
+//! at every heavy node. Partition roots, counts, rungs and cuts are those
+//! of the full greedy, bit for bit. On the paper-scale workload a few
+//! members per run are heavy, and the view is under a third of the
+//! component.
+//!
+//! # Partitions are their roots
+//!
+//! The accepted pass is laid out by its partition roots alone: ids in
+//! pre-order of the roots (the component root's partition is 0), each
+//! partition's parent from a stack of open root ranges, and its members as
+//! pre-order id runs — its root's range minus the ranges of the partition
+//! roots and holes below it. The reduced-problem build folds citation sets
+//! and sums explore weights over those runs in place; only the public
+//! entry points expand them into [`Partition`] values. The `comp`-list
+//! entry points derive the root and holes from the list and run the same
+//! code, and a warm [`NavScratch`] allocates nothing per pass or per
+//! partition.
 
 use crate::edgecut::counters;
 use crate::navtree::{NavNodeId, NavigationTree};
-use crate::scratch::{NavScratch, NodeMap, PartitionArena, NO_PARENT};
+use crate::scratch::{NavScratch, PartitionArena, NO_PARENT};
 
 /// One connected partition of a component subtree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,61 +98,143 @@ fn node_weight(nav: &NavigationTree, n: NavNodeId) -> u64 {
     u64::from(nav.results_count(n)).max(1)
 }
 
-/// Builds the component view of `comp` (its nodes in navigation pre-order,
-/// `comp[0]` the component root) in `arena`: the weight column, the local
-/// parent index and the in-component children in CSR form, in
-/// `nav.children` order. `map` is stamped once with the membership index,
-/// so children in a hole (a cut-away component) are left out. Returns the
-/// component weight `W`.
-fn build_view(
+/// Writes the holes of the component `comp` (its nodes in navigation
+/// pre-order, `comp[0]` the root) into `holes`: the topmost non-members of
+/// the root's pre-order range, in pre-order. A component is parent-closed,
+/// so a non-member's whole subtree is outside it and one jump skips it.
+pub(crate) fn holes_of(nav: &NavigationTree, comp: &[NavNodeId], holes: &mut Vec<NavNodeId>) {
+    holes.clear();
+    let end = nav.subtree_end(comp[0]);
+    let mut i = comp[0].0;
+    for &m in comp {
+        while i < m.0 {
+            holes.push(NavNodeId(i));
+            i = nav.subtree_end(NavNodeId(i));
+        }
+        debug_assert_eq!(i, m.0, "a component is parent-closed and in pre-order");
+        i += 1;
+    }
+    while i < end {
+        holes.push(NavNodeId(i));
+        i = nav.subtree_end(NavNodeId(i));
+    }
+}
+
+/// Number of members of the component `(root, holes)`.
+pub(crate) fn component_len(nav: &NavigationTree, root: NavNodeId, holes: &[NavNodeId]) -> usize {
+    let span = |n: NavNodeId| (nav.subtree_end(n) - n.0) as usize;
+    span(root) - holes.iter().map(|&h| span(h)).sum::<usize>()
+}
+
+/// The in-component subtree weight `S(n)` of member `n`: its range's
+/// weight minus the ranges of the holes inside it, which are one
+/// contiguous run of the sorted hole list (`hole_weight` holds their
+/// prefix sums).
+fn subtree_weight(
     nav: &NavigationTree,
-    comp: &[NavNodeId],
-    map: &mut NodeMap,
+    n: NavNodeId,
+    holes: &[NavNodeId],
+    hole_weight: &[u64],
+) -> u64 {
+    let end = nav.subtree_end(n);
+    let lo = holes.partition_point(|h| h.0 < n.0);
+    let hi = lo + holes[lo..].partition_point(|h| h.0 < end);
+    nav.run_weight(n.0, end) - (hole_weight[hi] - hole_weight[lo])
+}
+
+/// Fills the hole-weight prefix sums and returns the component weight `W`.
+fn weigh_holes(
+    nav: &NavigationTree,
+    root: NavNodeId,
+    holes: &[NavNodeId],
     arena: &mut PartitionArena,
 ) -> u64 {
-    map.begin(nav.len());
-    for (i, &n) in comp.iter().enumerate() {
-        map.set(n.index(), i as u32);
+    arena.hole_weight.clear();
+    arena.hole_weight.push(0);
+    let mut acc = 0;
+    for &h in holes {
+        acc += nav.run_weight(h.0, nav.subtree_end(h));
+        arena.hole_weight.push(acc);
     }
+    subtree_weight(nav, root, holes, &arena.hole_weight)
+}
+
+/// Builds the **heavy view** of the component `(root, holes)` for passes
+/// at thresholds `M ≥ threshold` (call [`weigh_holes`] first).
+///
+/// A member with `S(n) ≤ threshold` never sheds a cluster at such an `M`:
+/// its cluster never outweighs `S(n)`. So the view holds the heavy members
+/// (`S(n) > threshold`, an ancestor-closed set) at their own weights, and
+/// each light child of a heavy member as one leaf of weight `S(c)`, which
+/// is exactly the cluster it hands up. Indices are breadth-first from the
+/// root (index 0), so parents precede children, and member `i`'s
+/// children, in `nav.children` order with holes left out, are the indices
+/// `child_off[i]..child_off[i + 1]`.
+fn build_view(
+    nav: &NavigationTree,
+    root: NavNodeId,
+    holes: &[NavNodeId],
+    threshold: u64,
+    arena: &mut PartitionArena,
+) {
+    arena.node.clear();
     arena.weight.clear();
+    arena.heavy.clear();
     arena.parent.clear();
-    arena.parent.resize(comp.len(), NO_PARENT);
     arena.child_off.clear();
-    arena.child_idx.clear();
-    arena.child_off.push(0);
-    let mut total = 0;
-    for (i, &n) in comp.iter().enumerate() {
-        let w = node_weight(nav, n);
-        total += w;
-        arena.weight.push(w);
-        for &c in nav.children(n) {
-            if let Some(ci) = map.get(c.index()) {
-                arena.child_idx.push(ci);
-                arena.parent[ci as usize] = i as u32;
+    let s = subtree_weight(nav, root, holes, &arena.hole_weight);
+    push_view(nav, root, s, NO_PARENT, threshold, arena);
+    arena.child_off.push(1);
+    let mut i = 0;
+    while i < arena.node.len() {
+        if arena.heavy[i] {
+            for &c in nav.children(arena.node[i]) {
+                if holes.binary_search(&c).is_err() {
+                    let s = subtree_weight(nav, c, holes, &arena.hole_weight);
+                    push_view(nav, c, s, i as u32, threshold, arena);
+                }
             }
         }
-        arena.child_off.push(arena.child_idx.len() as u32);
+        arena.child_off.push(arena.node.len() as u32);
+        i += 1;
     }
-    arena.cluster_weight.clear();
-    arena.cluster_weight.resize(comp.len(), 0);
-    total
+}
+
+/// Appends member `n` (in-component subtree weight `s`, parent view index
+/// `up`) to the view: heavy at its own weight, light as one leaf of `s`.
+fn push_view(
+    nav: &NavigationTree,
+    n: NavNodeId,
+    s: u64,
+    up: u32,
+    threshold: u64,
+    arena: &mut PartitionArena,
+) {
+    let heavy = s > threshold;
+    arena.node.push(n);
+    arena
+        .weight
+        .push(if heavy { node_weight(nav, n) } else { s });
+    arena.heavy.push(heavy);
+    arena.parent.push(up);
 }
 
 /// Runs one bottom-up clustering pass with threshold `max_weight` over the
 /// view [`build_view`] left in `arena`.
 ///
-/// On return `arena.detached` holds the component indices of the partition
-/// roots — the component root (index 0) last. One reverse pre-order sweep:
-/// a node's cluster starts at its own weight, has its children's final
-/// clusters added by the time the sweep reaches it, sheds its heaviest
-/// children while it exceeds `max_weight`, and is then final, so it is
-/// added into its parent's.
+/// On return `arena.detached` holds the view indices of the partition
+/// roots — the component root (index 0) last. One reverse sweep: a node's
+/// cluster starts at its view weight, has its children's final clusters
+/// added by the time the sweep reaches it, sheds its heaviest children
+/// while it exceeds `max_weight`, and is then final, so it is added into
+/// its parent's.
 fn cluster_pass(max_weight: u64, arena: &mut PartitionArena) {
-    counters::note_cluster_pass();
-    arena.cluster_weight.copy_from_slice(&arena.weight);
+    counters::note_cluster_pass(arena.weight.len());
+    arena.cluster_weight.clear();
+    arena.cluster_weight.extend_from_slice(&arena.weight);
     arena.detached.clear();
     for i in (0..arena.weight.len()).rev() {
-        let kids = arena.child_off[i] as usize..arena.child_off[i + 1] as usize;
+        let kids = arena.child_off[i]..arena.child_off[i + 1];
         if arena.cluster_weight[i] > max_weight && !kids.is_empty() {
             detach_heaviest(i, kids, max_weight, arena);
         }
@@ -153,19 +246,18 @@ fn cluster_pass(max_weight: u64, arena: &mut PartitionArena) {
     arena.detached.push(0); // the root's remaining cluster
 }
 
-/// Detaches the heaviest child clusters of component index `i` (its
-/// children are `arena.child_idx[kids]`) as finished partitions until its
-/// cluster weighs at most `max_weight` or no child is left. The heap's top
-/// valid key is the last maximum in the child list's current order (see
-/// the module docs), matching the original rescan.
+/// Detaches the heaviest child clusters of view index `i` (its children
+/// are the indices `kids`) as finished partitions until its cluster weighs
+/// at most `max_weight` or no child is left. The heap's top valid key is
+/// the last maximum in the child list's current order (see the module
+/// docs), matching the original rescan.
 fn detach_heaviest(
     i: usize,
-    kids: std::ops::Range<usize>,
+    kids: std::ops::Range<u32>,
     max_weight: u64,
     arena: &mut PartitionArena,
 ) {
     let PartitionArena {
-        child_idx,
         cluster_weight,
         attached,
         detached,
@@ -173,7 +265,7 @@ fn detach_heaviest(
         ..
     } = arena;
     attached.clear();
-    attached.extend_from_slice(&child_idx[kids]);
+    attached.extend(kids);
     heap.clear();
     heap.extend(
         attached
@@ -197,105 +289,96 @@ fn detach_heaviest(
     }
 }
 
-/// Lays out the partitions recorded in `arena.detached` by the most recent
-/// [`cluster_pass`] over the view of `comp`.
-///
-/// Partition ids are numbered in pre-order of their roots, so the
-/// component root's partition is 0; a node that is not a partition root
-/// takes its parent's id in one forward sweep. A stable counting pass then
-/// permutes the members by id into `arena.members`, keeping each
-/// partition's members in pre-order.
-fn lay_out(comp: &[NavNodeId], arena: &mut PartitionArena) {
-    const IS_ROOT: u32 = u32::MAX;
+/// Lays out the partitions of the most recent [`cluster_pass`] by their
+/// roots: partition ids in pre-order of their roots (the component root's
+/// partition is 0), each partition's parent partition, and each
+/// partition's members as pre-order id runs — its root's range minus the
+/// ranges of the partition roots and holes below it ("cut-outs"), whose
+/// own nested cut-outs one jump skips.
+fn lay_out(nav: &NavigationTree, holes: &[NavNodeId], arena: &mut PartitionArena) {
     let PartitionArena {
-        weight,
-        parent,
+        node,
         detached,
-        partition_of,
-        part_off,
         part_root,
-        part_weight,
-        members,
+        part_parent,
+        cutouts,
+        run_off,
+        runs,
+        open,
         ..
     } = arena;
-    partition_of.clear();
-    partition_of.resize(comp.len(), 0);
-    for &r in detached.iter() {
-        partition_of[r as usize] = IS_ROOT;
-    }
     part_root.clear();
-    for i in 0..comp.len() {
-        partition_of[i] = if partition_of[i] == IS_ROOT {
-            part_root.push(i as u32);
-            part_root.len() as u32 - 1
-        } else {
-            debug_assert_ne!(
-                parent[i], NO_PARENT,
-                "components are parent-closed: every non-root member's parent is a member"
-            );
-            partition_of[parent[i] as usize]
-        };
+    part_root.extend(detached.iter().map(|&i| node[i as usize]));
+    part_root.sort_unstable();
+    cutouts.clear();
+    cutouts.extend(part_root[1..].iter().chain(holes).map(|n| n.0));
+    cutouts.sort_unstable();
+    part_parent.clear();
+    open.clear();
+    run_off.clear();
+    run_off.push(0);
+    runs.clear();
+    for (p, &r) in part_root.iter().enumerate() {
+        while open.last().is_some_and(|&(end, _)| end <= r.0) {
+            open.pop();
+        }
+        part_parent.push(open.last().map_or(NO_PARENT, |&(_, q)| q));
+        let end = nav.subtree_end(r);
+        open.push((end, p as u32));
+        let mut start = r.0;
+        let mut j = cutouts.partition_point(|&c| c <= r.0);
+        while j < cutouts.len() && cutouts[j] < end {
+            let c = cutouts[j];
+            if start < c {
+                runs.push((start, c));
+            }
+            start = nav.subtree_end(NavNodeId(c));
+            j += cutouts[j..].partition_point(|&x| x < start);
+        }
+        if start < end {
+            runs.push((start, end));
+        }
+        run_off.push(runs.len() as u32);
     }
-    let count = part_root.len();
-    part_off.clear();
-    part_off.resize(count + 1, 0);
-    for &p in partition_of.iter() {
-        part_off[p as usize + 1] += 1;
-    }
-    for p in 0..count {
-        part_off[p + 1] += part_off[p];
-    }
-    // Stable placement: each range's cursor starts at its offset and ends
-    // at the next range's, so one shift restores the offsets.
-    members.clear();
-    members.resize(comp.len(), NavNodeId::ROOT);
-    part_weight.clear();
-    part_weight.resize(count, 0);
-    for (i, &n) in comp.iter().enumerate() {
-        let p = partition_of[i] as usize;
-        members[part_off[p] as usize] = n;
-        part_off[p] += 1;
-        part_weight[p] += weight[i];
-    }
-    part_off.copy_within(0..count, 1);
-    part_off[0] = 0;
 }
+
 impl PartitionArena {
     /// Number of partitions the last run laid out.
     pub(crate) fn partition_count(&self) -> usize {
         self.part_root.len()
     }
 
-    /// Partition `p`'s members, in navigation pre-order (root first).
-    pub(crate) fn members_of(&self, p: usize) -> &[NavNodeId] {
-        &self.members[self.part_off[p] as usize..self.part_off[p + 1] as usize]
+    /// Partition `p`'s members as pre-order id runs `a..b`, in pre-order
+    /// (the first run starts at its root).
+    pub(crate) fn runs_of(&self, p: usize) -> &[(u32, u32)] {
+        &self.runs[self.run_off[p] as usize..self.run_off[p + 1] as usize]
     }
 
     /// Partition `p`'s root node.
     pub(crate) fn root_of(&self, p: usize) -> NavNodeId {
-        self.members[self.part_off[p] as usize]
+        self.part_root[p]
     }
 
     /// The partition holding the parent of partition `p`'s root; `p` must
     /// not be the root partition 0.
     pub(crate) fn parent_partition(&self, p: usize) -> usize {
-        let root = self.part_root[p] as usize;
-        debug_assert_ne!(root, 0, "the root partition has no parent");
-        self.partition_of[self.parent[root] as usize] as usize
-    }
-
-    /// Component indices of the component root's in-component children.
-    pub(crate) fn root_children(&self) -> &[u32] {
-        &self.child_idx[self.child_off[0] as usize..self.child_off[1] as usize]
+        debug_assert_ne!(p, 0, "the root partition has no parent");
+        self.part_parent[p] as usize
     }
 
     /// The laid-out partitions as owned [`Partition`] values.
-    fn partitions(&self) -> Vec<Partition> {
+    fn partitions(&self, nav: &NavigationTree) -> Vec<Partition> {
         (0..self.partition_count())
-            .map(|p| Partition {
-                root: self.root_of(p),
-                nodes: self.members_of(p).to_vec(),
-                weight: self.part_weight[p],
+            .map(|p| {
+                let runs = self.runs_of(p);
+                Partition {
+                    root: self.root_of(p),
+                    nodes: runs
+                        .iter()
+                        .flat_map(|&(a, b)| (a..b).map(NavNodeId))
+                        .collect(),
+                    weight: runs.iter().map(|&(a, b)| nav.run_weight(a, b)).sum(),
+                }
             })
             .collect()
     }
@@ -323,11 +406,14 @@ pub fn partition_component_in(
     scratch: &mut NavScratch,
 ) -> Vec<Partition> {
     assert!(!comp.is_empty(), "cannot partition an empty component");
-    let (map, arena) = scratch.parts();
-    build_view(nav, comp, map, arena);
-    cluster_pass(max_weight.max(1), arena);
-    lay_out(comp, arena);
-    arena.partitions()
+    let NavScratch { holes, arena } = scratch;
+    holes_of(nav, comp, holes);
+    let m = max_weight.max(1);
+    weigh_holes(nav, comp[0], holes, arena);
+    build_view(nav, comp[0], holes, m, arena);
+    cluster_pass(m, arena);
+    lay_out(nav, holes, arena);
+    arena.partitions(nav)
 }
 
 /// The paper's reduction loop: start from `M = W(C)/k` and increase `M`
@@ -339,38 +425,52 @@ pub fn partition_until(nav: &NavigationTree, comp: &[NavNodeId], k: usize) -> Ve
 
 /// [`partition_until`] with a caller-owned scratch arena.
 ///
-/// Builds the M ladder (`W/k`, then 15% steps, the last rung capped at
-/// `W`) in the arena and binary-searches it for the first rung whose pass
-/// detaches at most `k` clusters; the last rung qualifies by construction.
-/// This is the rung a linear walk would stop at, because the greedy's
-/// partition count never rises with `M` (module docs). Probes only count
-/// detached clusters; the accepted rung's pass is re-run if the last probe
-/// was elsewhere, and partitions are laid out once, so a run takes at most
-/// `⌈log₂ rungs⌉ + 1` passes and allocates nothing per pass.
+/// Derives the component's root and holes, builds the M ladder (`W/k`,
+/// then 15% steps, the last rung capped at `W`) and the heavy view for its
+/// lowest rung, then binary-searches the ladder for the first rung whose
+/// pass detaches at most `k` clusters; the last rung qualifies by
+/// construction. This is the rung a linear walk would stop at, because
+/// the greedy's partition count never rises with `M` (module docs).
+/// Probes only count detached clusters; the accepted rung's pass is re-run
+/// if the last probe was elsewhere, and partitions are laid out once, so a
+/// run takes at most `⌈log₂ rungs⌉ + 1` passes and allocates nothing once
+/// the arena is warm.
 pub fn partition_until_in(
     nav: &NavigationTree,
     comp: &[NavNodeId],
     k: usize,
     scratch: &mut NavScratch,
 ) -> Vec<Partition> {
-    partition_until_arena(nav, comp, k, scratch).partitions()
+    partition_comp_arena(nav, comp, k, scratch).partitions(nav)
 }
 
-/// [`partition_until_in`] without the owned [`Partition`] values: the
-/// partitions stay in the returned arena as ranges of one member array
-/// (see [`PartitionArena::members_of`]). The serve path's planner reads
-/// them there.
-pub(crate) fn partition_until_arena<'s>(
+/// [`partition_until_arena`] on a component given by its node list.
+fn partition_comp_arena<'s>(
     nav: &NavigationTree,
     comp: &[NavNodeId],
     k: usize,
     scratch: &'s mut NavScratch,
 ) -> &'s PartitionArena {
-    assert!(k >= 1);
     assert!(!comp.is_empty(), "cannot partition an empty component");
+    let NavScratch { holes, arena } = scratch;
+    holes_of(nav, comp, holes);
+    partition_until_arena(nav, comp[0], holes, k, arena)
+}
+
+/// [`partition_until_in`] on the component `(root, holes)` (holes sorted);
+/// the partitions stay in the returned arena as pre-order id runs (see
+/// [`PartitionArena::runs_of`]), which the serve path's planner reads in
+/// place.
+pub(crate) fn partition_until_arena<'s>(
+    nav: &NavigationTree,
+    root: NavNodeId,
+    holes: &[NavNodeId],
+    k: usize,
+    arena: &'s mut PartitionArena,
+) -> &'s PartitionArena {
+    assert!(k >= 1);
     counters::note_partition_run();
-    let (map, arena) = scratch.parts();
-    let total = build_view(nav, comp, map, arena);
+    let total = weigh_holes(nav, root, holes, arena);
     // 15% steps track the smallest M reaching ≤ k reasonably closely,
     // which keeps the reduced tree as fine-grained as allowed.
     arena.ladder.clear();
@@ -380,6 +480,7 @@ pub(crate) fn partition_until_arena<'s>(
         m = (m + m / 7).max(m + 1);
     }
     arena.ladder.push(total);
+    build_view(nav, root, holes, arena.ladder[0], arena);
 
     let (mut lo, mut hi) = (0, arena.ladder.len() - 1);
     let mut probed = None;
@@ -396,7 +497,7 @@ pub(crate) fn partition_until_arena<'s>(
     if probed != Some(lo) {
         cluster_pass(arena.ladder[lo], arena);
     }
-    lay_out(comp, arena);
+    lay_out(nav, holes, arena);
     arena
 }
 
@@ -843,12 +944,16 @@ mod tests {
         );
         let comp: Vec<NavNodeId> = nav.iter_preorder().collect();
         let sub = nav.subtree_nodes(nav.children(NavNodeId::ROOT)[0]);
-        let buffers = |a: &PartitionArena| {
+        let buffers = |s: &NavScratch| {
+            let a = &s.arena;
             [
+                (s.holes.as_ptr() as usize, s.holes.capacity()),
+                (a.hole_weight.as_ptr() as usize, a.hole_weight.capacity()),
+                (a.node.as_ptr() as usize, a.node.capacity()),
                 (a.weight.as_ptr() as usize, a.weight.capacity()),
+                (a.heavy.as_ptr() as usize, a.heavy.capacity()),
                 (a.parent.as_ptr() as usize, a.parent.capacity()),
                 (a.child_off.as_ptr() as usize, a.child_off.capacity()),
-                (a.child_idx.as_ptr() as usize, a.child_idx.capacity()),
                 (
                     a.cluster_weight.as_ptr() as usize,
                     a.cluster_weight.capacity(),
@@ -857,11 +962,12 @@ mod tests {
                 (a.detached.as_ptr() as usize, a.detached.capacity()),
                 (a.ladder.as_ptr() as usize, a.ladder.capacity()),
                 (0, a.heap.capacity()),
-                (a.partition_of.as_ptr() as usize, a.partition_of.capacity()),
-                (a.part_off.as_ptr() as usize, a.part_off.capacity()),
                 (a.part_root.as_ptr() as usize, a.part_root.capacity()),
-                (a.part_weight.as_ptr() as usize, a.part_weight.capacity()),
-                (a.members.as_ptr() as usize, a.members.capacity()),
+                (a.part_parent.as_ptr() as usize, a.part_parent.capacity()),
+                (a.cutouts.as_ptr() as usize, a.cutouts.capacity()),
+                (a.run_off.as_ptr() as usize, a.run_off.capacity()),
+                (a.runs.as_ptr() as usize, a.runs.capacity()),
+                (a.open.as_ptr() as usize, a.open.capacity()),
             ]
         };
         let mut scratch = NavScratch::new();
@@ -870,15 +976,15 @@ mod tests {
         // buffer to its high-water mark.
         for k in ks {
             for c in [&comp, &sub] {
-                partition_until_arena(&nav, c, k, &mut scratch);
+                partition_comp_arena(&nav, c, k, &mut scratch);
             }
         }
-        let warm = buffers(&scratch.arena);
+        let warm = buffers(&scratch);
         for k in ks {
             for c in [&comp, &sub] {
-                let count = partition_until_arena(&nav, c, k, &mut scratch).partition_count();
+                let count = partition_comp_arena(&nav, c, k, &mut scratch).partition_count();
                 assert!(count >= 1 && count <= k);
-                assert_eq!(buffers(&scratch.arena), warm, "k={k} n={}", c.len());
+                assert_eq!(buffers(&scratch), warm, "k={k} n={}", c.len());
             }
         }
     }

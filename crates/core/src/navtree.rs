@@ -25,9 +25,10 @@
 //! `NavigationTree::fold_results`. Because pre-order numbers a node run
 //! `a..b` consecutively, its lists are one contiguous slice
 //! `result_idx[result_off[a]..result_off[b]]`, and a subtree is a single
-//! such run. A cold `open_session` therefore costs O(attachments +
-//! hierarchy), and reads cost O(attachments they cover), never
-//! O(nodes × universe).
+//! such run. The build sorts the query's attachments by the hierarchy's
+//! pre-order rank and allocates nothing sized to the hierarchy, so a cold
+//! `open_session` costs O(attachments), and reads cost O(attachments they
+//! cover), never O(nodes × universe).
 //!
 //! ```
 //! use bionav_core::{NavigationTree, NavNodeId};
@@ -53,7 +54,7 @@
 //! ```
 
 use bionav_medline::{CitationId, CitationStore};
-use bionav_mesh::{ConceptHierarchy, DescriptorId, HierarchyColumns, NodeId as HNodeId};
+use bionav_mesh::{ConceptHierarchy, HierarchyColumns, NodeId as HNodeId};
 
 use crate::bitset::CitSet;
 
@@ -111,8 +112,43 @@ pub struct NavigationTree {
     /// `|R(n)| / ln |LT(n)|` — the unnormalized EXPLORE weight (§IV).
     explore_weight: Vec<f64>,
     total_explore_weight: f64,
+    /// Prefix sums of the partitioner's node weights `max(1, |R(n)|)`:
+    /// the id run `a..b` weighs `weight_prefix[b] - weight_prefix[a]`.
+    weight_prefix: Vec<u64>,
     /// Local index → PMID for the distinct citations of the query result.
     citations: Vec<CitationId>,
+}
+
+/// Stable LSD radix sort of packed `rank << 32 | local index` attachments
+/// by rank, for ranks below `ranks`: 11-bit digits, so two passes cover a
+/// 4M-node hierarchy, and the digit counts are the only state beyond one
+/// buffer of the attachments' size.
+fn sort_by_rank(att: &mut Vec<u64>, ranks: usize) {
+    const BITS: u32 = 11;
+    const MASK: u64 = (1 << BITS) - 1;
+    let max_rank = ranks.saturating_sub(1) as u64;
+    let mut buf = vec![0u64; att.len()];
+    let mut shift = 32;
+    loop {
+        let mut at = [0usize; 1 << BITS];
+        for &x in att.iter() {
+            at[((x >> shift) & MASK) as usize] += 1;
+        }
+        let mut sum = 0;
+        for slot in at.iter_mut() {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &x in att.iter() {
+            let slot = &mut at[((x >> shift) & MASK) as usize];
+            buf[*slot] = x;
+            *slot += 1;
+        }
+        std::mem::swap(att, &mut buf);
+        shift += BITS;
+        if max_rank >> (shift - 32) == 0 {
+            break;
+        }
+    }
 }
 
 impl NavigationTree {
@@ -169,132 +205,102 @@ impl NavigationTree {
             })
             .collect();
 
-        // Every per-concept input comes from a dense column — the
-        // hierarchy's descriptor→positions CSR and the store's
-        // `ln(global_count)` — so the only hash probes left in the whole
-        // build are one `associations` lookup per citation, resolved here
-        // once and reused by both attachment passes.
+        // Attach citations to hierarchy positions as `(pre-order rank,
+        // local index)` pairs packed into one `u64`, then sort them by rank:
+        // nothing in the build is sized to the hierarchy (DESIGN.md §5g).
+        // The pairs are generated in ascending local index and the radix
+        // sort is stable, so each position's attachments form one group,
+        // the groups come in rank order — the hierarchy's pre-order — and
+        // each group is in ascending local index; dropping repeated pairs
+        // (the same citation reaching one position through two of its
+        // concepts) leaves each result list sorted and deduplicated, and
+        // the build bit-deterministic. Per-concept inputs come from dense
+        // columns (the descriptor→positions CSR in rank space and the
+        // store's `ln(global_count)`); the one hash probe left is
+        // `associations`, one per citation.
         let cols = hierarchy.columns();
-        let assoc: Vec<&[DescriptorId]> = citations
-            .iter()
-            .map(|&pmid| store.associations(pmid))
-            .collect();
-
-        // Attach citations to hierarchy positions: a CSR over the dense
-        // hierarchy-node ids, filled by two passes over the sorted
-        // `citations` (count, then place) — a counting sort by position.
-        // Iterating the sorted vec — not a hash map — makes the build
-        // bit-deterministic; each position's list is produced in ascending
-        // local-index order, and any duplicates of one index (the same
-        // citation reaching the same position through two of its concepts)
-        // land adjacently.
-        let hn = hierarchy.len();
-        let mut att_count = vec![0u32; hn];
-        for concepts in &assoc {
-            for &concept in *concepts {
-                for &pos in cols.positions_of(concept.0) {
-                    att_count[pos.index()] += 1;
+        let mut att: Vec<u64> = Vec::new();
+        for (idx, &pmid) in citations.iter().enumerate() {
+            for &concept in store.associations(pmid) {
+                for &r in cols.position_ranks_of(concept.0) {
+                    att.push(u64::from(r) << 32 | idx as u64);
                 }
             }
         }
-        let mut att_off = vec![0u32; hn + 1];
-        for i in 0..hn {
-            att_off[i + 1] = att_off[i] + att_count[i];
-        }
-        let mut att = vec![0u32; att_off[hn] as usize];
-        let mut cursor: Vec<u32> = att_off[..hn].to_vec();
-        for (idx, concepts) in assoc.iter().enumerate() {
-            for &concept in *concepts {
-                for &pos in cols.positions_of(concept.0) {
-                    let slot = &mut cursor[pos.index()];
-                    att[*slot as usize] = idx as u32;
-                    *slot += 1;
-                }
-            }
-        }
+        sort_by_rank(&mut att, hierarchy.len());
+        att.dedup();
 
-        // Which hierarchy subtrees contain any attachment at all: the
-        // hierarchy arena keeps parents before children, so one reverse
-        // pass over the flat parent column folds the flags bottom-up and
-        // the embedding walk below can prune entire empty subtrees without
-        // visiting them.
-        let hparent = cols.parent();
-        let mut occupied: Vec<bool> = att_count.iter().map(|&c| c > 0).collect();
-        for i in (1..hn).rev() {
-            if occupied[i] && hparent[i] != HierarchyColumns::NO_PARENT {
-                occupied[hparent[i] as usize] = true;
-            }
-        }
-
-        // Maximum embedding (paper §II) in ONE explicit-stack pre-order
-        // walk: a non-root hierarchy node survives iff it carries
-        // attachments; a removed node's children are spliced up to its
-        // nearest surviving ancestor. Splicing preserves relative order,
-        // so the embedded tree's pre-order is exactly the hierarchy
-        // pre-order restricted to survivors — nodes come out already
-        // numbered in pre-order, no renumbering pass needed. The explicit
-        // work-stack (rather than recursion) is load-bearing: a
-        // deep-narrow hierarchy (`synth::deep_chain`, 100k+ levels) would
-        // overflow the thread stack and abort the process, bypassing the
-        // panic-isolation plane entirely.
-        // Every attached position survives, so the node count is known
-        // up front — size the columns once instead of doubling up to it.
-        let n_exact = 1 + att_count.iter().filter(|&&c| c > 0).count();
+        // Maximum embedding (paper §II): a non-root hierarchy node survives
+        // iff it carries attachments, and hangs below its nearest surviving
+        // ancestor. The distinct ranks are the survivors in hierarchy
+        // pre-order, hence already numbered in navigation pre-order, and a
+        // stack of open rank ranges `(subtree end, nav id)` holds each
+        // one's surviving ancestors: pop the ranges that end at or before
+        // its rank — each popped node's navigation subtree ends right here
+        // — and the top left is its parent, the stack height its depth.
+        // The stack is explicit, so a deep-narrow hierarchy
+        // (`synth::deep_chain`, 100k+ levels) cannot overflow the thread
+        // stack. The root embeds hierarchy rank 0 and keeps an empty list.
+        //
+        // EXPLORE weights come straight off each deduplicated list, in
+        // ascending local index, the order a bitset iteration would visit
+        // — bit-identical f64 results. The denominator comes off the
+        // store's dense `ln(global_count)` column; `global_count` floors at
+        // 2, so the out-of-column fallback ln 2 is the very value the
+        // unmemoized path used to compute.
+        let preorder = cols.preorder();
+        let rank_end = cols.rank_end();
         let hdepth = cols.depth();
-        let mut hierarchy_node: Vec<HNodeId> = Vec::with_capacity(n_exact);
-        hierarchy_node.push(HNodeId::ROOT);
-        let mut labels = String::with_capacity(n_exact * 16);
-        labels.push_str(cols.label(0));
-        let mut label_off: Vec<u32> = Vec::with_capacity(n_exact + 1);
-        label_off.push(0);
-        label_off.push(labels.len() as u32);
-        let mut hierarchy_depth: Vec<u32> = Vec::with_capacity(n_exact);
-        hierarchy_depth.push(0);
-        let mut parent: Vec<u32> = Vec::with_capacity(n_exact);
-        parent.push(NO_PARENT);
-        let mut result_off: Vec<u32> = Vec::with_capacity(n_exact + 1);
-        result_off.extend([0, 0]); // root: empty list
+        let hdescriptor = cols.descriptor();
+        let ln_floor = 2_f64.ln();
+        let lnc = store.ln_global_counts();
+        let mut hierarchy_node: Vec<HNodeId> = vec![HNodeId::ROOT];
+        let mut labels = String::from(cols.label(0));
+        let mut label_off: Vec<u32> = vec![0, labels.len() as u32];
+        let mut hierarchy_depth: Vec<u32> = vec![0];
+        let mut nav_depth: Vec<u32> = vec![0];
+        let mut parent: Vec<u32> = vec![NO_PARENT];
+        let mut subtree_end: Vec<u32> = vec![0];
+        let mut result_off: Vec<u32> = vec![0, 0];
         let mut result_idx: Vec<u32> = Vec::with_capacity(att.len());
-
-        // (hierarchy node, nav id of its nearest surviving ancestor)
-        let mut stack: Vec<(HNodeId, u32)> = Vec::new();
-        for &c in cols.children(0).iter().rev() {
-            if occupied[c.index()] {
-                stack.push((c, 0));
+        let mut explore_weight: Vec<f64> = vec![0.0];
+        let mut total_explore_weight = 0f64;
+        let mut open: Vec<(u32, u32)> = Vec::new();
+        for group in att.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let r = (group[0] >> 32) as u32;
+            if r == 0 {
+                continue;
             }
-        }
-        while let Some((h, up)) = stack.pop() {
-            let hi = h.index();
-            let (a, b) = (att_off[hi] as usize, att_off[hi + 1] as usize);
-            let nav_parent = if a < b {
-                let id = parent.len() as u32;
-                hierarchy_node.push(h);
-                labels.push_str(cols.label(hi));
-                label_off.push(labels.len() as u32);
-                hierarchy_depth.push(hdepth[hi]);
-                parent.push(up);
-                // Copy the attachment list, dropping duplicates (always
-                // adjacent — see the attachment pass above). The previous
-                // node's list may end in the same index, so only compare
-                // within this node's slice.
-                let before = result_idx.len();
-                for &x in &att[a..b] {
-                    if result_idx.len() == before || result_idx[result_idx.len() - 1] != x {
-                        result_idx.push(x);
-                    }
-                }
-                result_off.push(result_idx.len() as u32);
-                id
-            } else {
-                up
+            let id = parent.len() as u32;
+            while let Some(&(_, done)) = open.last().filter(|&&(end, _)| end <= r) {
+                subtree_end[done as usize] = id;
+                open.pop();
+            }
+            let h = preorder[r as usize].index();
+            hierarchy_node.push(HNodeId(h as u32));
+            labels.push_str(cols.label(h));
+            label_off.push(labels.len() as u32);
+            hierarchy_depth.push(hdepth[h]);
+            nav_depth.push(open.len() as u32 + 1);
+            parent.push(open.last().map_or(0, |&(_, up)| up));
+            subtree_end.push(0);
+            result_idx.extend(group.iter().map(|&x| x as u32));
+            result_off.push(result_idx.len() as u32);
+            let denom = match hdescriptor[h] {
+                HierarchyColumns::NO_DESCRIPTOR => ln_floor,
+                d => lnc.get(d as usize).copied().unwrap_or(ln_floor),
             };
-            for &c in cols.children(hi).iter().rev() {
-                if occupied[c.index()] {
-                    stack.push((c, nav_parent));
-                }
-            }
+            let weighted: f64 = group.iter().map(|&x| weights[x as u32 as usize]).sum();
+            let ew = weighted / denom;
+            explore_weight.push(ew);
+            total_explore_weight += ew;
+            open.push((rank_end[r as usize], id));
         }
         let n = parent.len();
+        subtree_end[0] = n as u32;
+        for (_, done) in open {
+            subtree_end[done as usize] = n as u32;
+        }
 
         // CSR children from the parent column: because ids are pre-order,
         // sibling order by id equals hierarchy child order.
@@ -313,49 +319,12 @@ impl NavigationTree {
             *slot += 1;
         }
 
-        // Navigation depths: parents precede children in pre-order, so one
-        // forward pass suffices.
-        let mut nav_depth = vec![0u32; n];
-        for i in 1..n {
-            nav_depth[i] = nav_depth[parent[i] as usize] + 1;
-        }
-
-        // Subtree ranges: children have larger pre-order indices than their
-        // parents, so a reverse pass folds each node's exclusive range end
-        // into its parent bottom-up.
-        let mut subtree_end: Vec<u32> = (1..=n as u32).collect();
-        for i in (1..n).rev() {
-            let p = parent[i] as usize;
-            if subtree_end[p] < subtree_end[i] {
-                subtree_end[p] = subtree_end[i];
-            }
-        }
-
-        // EXPLORE weights straight off the deduplicated result lists. The
-        // lists are ascending, so the weighted sums visit citations in the
-        // same order a bitset iteration would — bit-identical f64 results.
-        // The denominator comes off the store's dense `ln(global_count)`
-        // column; `global_count` floors at 2, so the out-of-column fallback
-        // ln 2 is the very value the unmemoized path used to compute.
-        let ln_floor = 2_f64.ln();
-        let lnc = store.ln_global_counts();
-        let hdescriptor = cols.descriptor();
-        let mut explore_weight = vec![0f64; n];
-        let mut total_explore_weight = 0f64;
-        for i in 1..n {
-            let (a, b) = (result_off[i] as usize, result_off[i + 1] as usize);
-            if a == b {
-                continue;
-            }
-            let d = hdescriptor[hierarchy_node[i].index()];
-            let denom = if d == HierarchyColumns::NO_DESCRIPTOR {
-                ln_floor
-            } else {
-                lnc.get(d as usize).copied().unwrap_or(ln_floor)
-            };
-            let weighted: f64 = result_idx[a..b].iter().map(|&x| weights[x as usize]).sum();
-            explore_weight[i] = weighted / denom;
-            total_explore_weight += explore_weight[i];
+        let mut weight_prefix: Vec<u64> = Vec::with_capacity(n + 1);
+        weight_prefix.push(0);
+        let mut acc = 0u64;
+        for w in result_off.windows(2) {
+            acc += u64::from(w[1] - w[0]).max(1);
+            weight_prefix.push(acc);
         }
 
         NavigationTree {
@@ -372,6 +341,7 @@ impl NavigationTree {
             result_off,
             explore_weight,
             total_explore_weight,
+            weight_prefix,
             citations,
         }
     }
@@ -410,7 +380,7 @@ impl NavigationTree {
 
     /// Unions the result lists of the id run `a..b`: one slice.
     #[inline]
-    fn fold_run(&self, a: u32, b: u32, set: &mut CitSet) {
+    pub(crate) fn fold_run(&self, a: u32, b: u32, set: &mut CitSet) {
         let lo = self.result_off[a as usize] as usize;
         let hi = self.result_off[b as usize] as usize;
         set.insert_all(&self.result_idx[lo..hi]);
@@ -508,6 +478,12 @@ impl NavigationTree {
     /// `|subtree_set(id)|` — the count the static interface displays.
     pub fn subtree_distinct(&self, id: NavNodeId) -> u32 {
         self.subtree_set(id).count()
+    }
+
+    /// Total partitioner weight `Σ max(1, |R(n)|)` of the id run `a..b`.
+    #[inline]
+    pub(crate) fn run_weight(&self, a: u32, b: u32) -> u64 {
+        self.weight_prefix[b as usize] - self.weight_prefix[a as usize]
     }
 
     /// Exclusive end of `id`'s pre-order subtree: the subtree is exactly
@@ -855,6 +831,119 @@ mod tests {
         assert_eq!(nav.subtree_end(a), nav.find_by_label("E").unwrap().0);
         assert_eq!(nav.subtree_distinct(a), 4);
         assert_eq!(nav.subtree_distinct(NavNodeId::ROOT), 6);
+    }
+
+    /// The maximum embedding straight from its definition (paper §II),
+    /// through the hierarchy's node API rather than its columns: every
+    /// non-root position carrying results survives, in hierarchy
+    /// pre-order, below its nearest surviving ancestor. Returns, per
+    /// navigation node, `(parent, hierarchy node, label, result list,
+    /// explore-weight bits)`, and the total explore-weight bits.
+    type OracleNode = (Option<usize>, HNodeId, String, Vec<u32>, u64);
+
+    fn embedding_oracle(
+        h: &ConceptHierarchy,
+        store: &CitationStore,
+        citations: &[CitationId],
+        weights: &[f64],
+    ) -> (Vec<OracleNode>, u64) {
+        use std::collections::{BTreeSet, HashMap};
+        let mut attached: HashMap<HNodeId, BTreeSet<u32>> = HashMap::new();
+        for (idx, &pmid) in citations.iter().enumerate() {
+            for &d in store.associations(pmid) {
+                for &pos in h.nodes_of(d) {
+                    attached.entry(pos).or_default().insert(idx as u32);
+                }
+            }
+        }
+        let mut nav_of: HashMap<HNodeId, usize> = HashMap::new();
+        let mut out: Vec<OracleNode> =
+            vec![(None, HNodeId::ROOT, h.root().label().to_string(), vec![], 0)];
+        let mut total = 0f64;
+        for pos in h.iter_preorder().skip(1) {
+            let Some(set) = attached.get(&pos) else {
+                continue;
+            };
+            let mut up = h.node(pos).parent();
+            let parent = loop {
+                match up {
+                    Some(a) if nav_of.contains_key(&a) => break nav_of[&a],
+                    Some(a) => up = h.node(a).parent(),
+                    None => break 0,
+                }
+            };
+            let denom = h
+                .node(pos)
+                .descriptor()
+                .map_or(2_f64.ln(), |d| (store.global_count(d) as f64).ln());
+            let weighted: f64 = set.iter().map(|&x| weights[x as usize]).sum();
+            let ew = weighted / denom;
+            total += ew;
+            nav_of.insert(pos, out.len());
+            out.push((
+                Some(parent),
+                pos,
+                h.node(pos).label().to_string(),
+                set.iter().copied().collect(),
+                ew.to_bits(),
+            ));
+        }
+        (out, total.to_bits())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The rank-sorted build equals the definitional maximum embedding
+        /// on arenas whose order is not pre-order (a node's parent is any
+        /// earlier entry), with descriptors at several positions, unknown
+        /// concepts, repeated concepts and weighted citations.
+        #[test]
+        fn build_matches_the_definitional_embedding(
+            parents in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..60),
+            descs in proptest::collection::vec(0u32..12, 60),
+            assocs in proptest::collection::vec(
+                proptest::collection::vec(0u32..14, 0..4), 1..30),
+        ) {
+            let n = parents.len() + 1;
+            let h = ConceptHierarchy::from_arena_parts(
+                (0..n).map(|i| format!("n{i}")).collect(),
+                // Pool ids 1..=10 repeat across positions; 0 and 11 leave
+                // a position descriptor-less. The root may carry one too.
+                (0..n).map(|i| (1..=10).contains(&descs[i]).then_some(DescriptorId(descs[i]))).collect(),
+                std::iter::once(None)
+                    .chain(parents.iter().enumerate().map(|(j, &d)| Some(d % (j as u32 + 1))))
+                    .collect(),
+            );
+            let mut store = CitationStore::new();
+            for (i, concepts) in assocs.iter().enumerate() {
+                // Concepts 11..13 occupy no position.
+                let concepts = concepts.iter().map(|&c| DescriptorId(c)).collect();
+                store
+                    .insert(Citation::new(CitationId(i as u32 + 1), "t", vec![], concepts, vec![]))
+                    .unwrap();
+            }
+            store.set_global_count(DescriptorId(3), 1_000);
+            let results: Vec<CitationId> = (1..=assocs.len() as u32).rev().map(CitationId).collect();
+            let weight = |id: CitationId| f64::from(id.0 % 3) + 0.5;
+            let nav = NavigationTree::build_weighted(&h, &store, &results, weight);
+
+            let citations: Vec<CitationId> = (1..=assocs.len() as u32).map(CitationId).collect();
+            let weights: Vec<f64> = citations.iter().map(|&c| weight(c)).collect();
+            let (want, total) = embedding_oracle(&h, &store, &citations, &weights);
+            proptest::prop_assert_eq!(nav.len(), want.len());
+            for (i, (parent, hnode, label, results, ew)) in want.iter().enumerate() {
+                let id = NavNodeId(i as u32);
+                proptest::prop_assert_eq!(nav.parent(id).map(NavNodeId::index), *parent, "parent of {}", i);
+                proptest::prop_assert_eq!(nav.hierarchy_node(id), *hnode, "hierarchy node of {}", i);
+                proptest::prop_assert_eq!(nav.label(id), label.as_str());
+                let listed: Vec<u32> = nav.results(id).iter().map(|x| x as u32).collect();
+                proptest::prop_assert_eq!(&listed, results, "results of {}", i);
+                proptest::prop_assert_eq!(nav.results_count(id) as usize, results.len());
+                proptest::prop_assert_eq!(nav.explore_weight(id).to_bits(), *ew, "explore weight of {}", i);
+            }
+            proptest::prop_assert_eq!(nav.total_explore_weight().to_bits(), total);
+        }
     }
 
     #[test]

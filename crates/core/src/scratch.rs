@@ -8,19 +8,17 @@
 //! the serve bench. [`NavScratch`] replaces all of that with arrays owned
 //! by the caller (a [`Session`] keeps one for its whole lifetime) and
 //! threaded through the partitioner, the heuristic pipeline, and
-//! [`ActiveTree`] expansion:
+//! [`ActiveTree`] expansion.
 //!
-//! * [`NodeMap`] — a node → `u32` map whose reset is an epoch bump, not a
-//!   clear: entries from earlier passes simply fail the stamp comparison.
-//!   A partitioning run stamps it once with the component's membership
-//!   index while it builds the component view.
-//! * [`NavScratch`] — the full arena: the map plus the partition arena,
-//!   which holds one **component view** per run (a component-local CSR:
-//!   weight column, parent index, child offsets and indices), the state
-//!   every ladder probe overwrites, the partitions as ranges of one member
-//!   array, and a DFS stack for component reassignment. After the view is
-//!   built, neither the probes nor the reduced-problem build touch a
-//!   node-indexed map again.
+//! A component is its root plus its holes, so nothing here is sized to the
+//! component, let alone the tree: a run holds one **heavy view** (the
+//! members that can shed a cluster, and their children), the state every
+//! ladder probe overwrites, and the partitions as pre-order id runs. The
+//! reduced-problem build reads the runs in place.
+//!
+//! [`NodeMap`] — a node → `u32` map whose reset is an epoch bump, not a
+//! clear — serves only the frozen
+//! [`partition::oracle`](crate::edgecut::partition::oracle) now.
 //!
 //! The arena holds no navigation state — only scratch capacity — so it is
 //! deliberately *not* serialized with sessions and is rebuilt empty on
@@ -82,52 +80,61 @@ impl NodeMap {
 /// Reused buffers for the bottom-up partitioner and active-tree expansion.
 /// All state is run-local; callers overwrite before reading.
 ///
-/// A partitioning run fills three groups, each indexed by *component
-/// index* (a member's position in the component's pre-order node list):
+/// A partitioning run over the component `(root, holes)` fills three
+/// groups:
 ///
-/// * the **component view**, built once per run: the weight column, the
-///   local parent index and the children in CSR form (`child_off` /
-///   `child_idx`, in `nav.children` order, holes left out);
+/// * the **heavy view**, built once per run and indexed breadth-first
+///   from the root: the members heavier than the lowest rung at their own
+///   weights, and each light child of one as a leaf weighing its whole
+///   in-component subtree (DESIGN.md §5c);
 /// * the **probe state** every ladder probe overwrites: the cluster
 ///   weights, the detached roots, the heap and the child list being
 ///   detached from;
-/// * the **partitions** of the accepted probe: one member array permuted
-///   by partition id, each partition a pre-order range of it.
+/// * the **partitions** of the accepted probe, by their roots: each
+///   partition's parent partition and its members as pre-order id runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PartitionArena {
-    /// Node weight `max(1, |R(n)|)` per component index.
+    /// Prefix sums of the holes' subtree weights, in hole order.
+    pub(crate) hole_weight: Vec<u64>,
+    /// The member at each view index.
+    pub(crate) node: Vec<NavNodeId>,
+    /// View weight: a heavy member's own `max(1, |R(n)|)`, a light leaf's
+    /// in-component subtree weight.
     pub(crate) weight: Vec<u64>,
-    /// Component index of each member's parent ([`NO_PARENT`] for the
-    /// component root).
+    /// Whether the member at each view index is heavy (its children are
+    /// in the view).
+    pub(crate) heavy: Vec<bool>,
+    /// View index of each member's parent ([`NO_PARENT`] for the root).
     pub(crate) parent: Vec<u32>,
-    /// `child_idx[child_off[i]..child_off[i + 1]]` are member `i`'s
-    /// in-component children.
+    /// View index `i`'s children are the indices
+    /// `child_off[i]..child_off[i + 1]`.
     pub(crate) child_off: Vec<u32>,
-    /// Component indices of in-component children, grouped by parent.
-    pub(crate) child_idx: Vec<u32>,
-    /// Weight of the still-attached cluster rooted at each component index.
+    /// Weight of the still-attached cluster rooted at each view index.
     pub(crate) cluster_weight: Vec<u64>,
     /// The attached children of the node being detached from, in the
     /// order the heap's positions refer to.
     pub(crate) attached: Vec<u32>,
-    /// Component indices of detached partition roots (the component root
+    /// View indices of detached partition roots (the component root
     /// last).
     pub(crate) detached: Vec<u32>,
-    /// The threshold ladder `partition_until_in` binary-searches.
+    /// The threshold ladder `partition_until_arena` binary-searches.
     pub(crate) ladder: Vec<u64>,
     /// `(child cluster weight, position in the child list)` max-heap for
     /// picking the heaviest child to detach.
     pub(crate) heap: BinaryHeap<(u64, usize)>,
-    /// Partition id per component index.
-    pub(crate) partition_of: Vec<u32>,
-    /// `members[part_off[p]..part_off[p + 1]]` are partition `p`'s nodes.
-    pub(crate) part_off: Vec<u32>,
-    /// Component index of each partition's root.
-    pub(crate) part_root: Vec<u32>,
-    /// Total weight of each partition.
-    pub(crate) part_weight: Vec<u64>,
-    /// Every member, permuted by partition id; pre-order within a range.
-    pub(crate) members: Vec<NavNodeId>,
+    /// Partition roots in pre-order (partition ids).
+    pub(crate) part_root: Vec<NavNodeId>,
+    /// Parent partition of each partition ([`NO_PARENT`] for partition 0).
+    pub(crate) part_parent: Vec<u32>,
+    /// Sorted ids of every non-root partition root and every hole.
+    pub(crate) cutouts: Vec<u32>,
+    /// `runs[run_off[p]..run_off[p + 1]]` are partition `p`'s member runs.
+    pub(crate) run_off: Vec<u32>,
+    /// Pre-order id runs `a..b`, grouped by partition.
+    pub(crate) runs: Vec<(u32, u32)>,
+    /// Open `(subtree end, partition)` ranges while parent partitions are
+    /// assigned.
+    pub(crate) open: Vec<(u32, u32)>,
     /// DFS stack for component reassignment in `ActiveTree::expand_in`.
     pub(crate) dfs: Vec<NavNodeId>,
 }
@@ -141,21 +148,17 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// it reads.
 #[derive(Debug, Clone, Default)]
 pub struct NavScratch {
-    pub(crate) map: NodeMap,
+    /// The holes of a component given by its node list (the public
+    /// `comp`-list entry points derive them here).
+    pub(crate) holes: Vec<NavNodeId>,
     pub(crate) arena: PartitionArena,
 }
 
 impl NavScratch {
-    /// An empty arena; buffers grow to the navigation-tree size on first
-    /// use and are reused afterwards.
+    /// An empty arena; buffers grow to the component sizes they serve on
+    /// first use and are reused afterwards.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Split-borrows the node map and the partition buffers so the
-    /// partitioner can hold both at once.
-    pub(crate) fn parts(&mut self) -> (&mut NodeMap, &mut PartitionArena) {
-        (&mut self.map, &mut self.arena)
     }
 }
 

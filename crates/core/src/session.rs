@@ -34,7 +34,6 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 // CutCache's lock and counters go through the sync shim so the interleave
@@ -45,7 +44,7 @@ use bionav_medline::CitationId;
 
 use crate::active::{ActiveTree, EdgeCut, EdgeCutError, VisNode};
 use crate::cost::CostParams;
-use crate::edgecut::heuristic::{plan_component_with, ReducedPlan};
+use crate::edgecut::heuristic::{plan_at, ReducedPlan};
 use crate::navtree::{NavNodeId, NavigationTree};
 use crate::scratch::NavScratch;
 use crate::sim::NavOutcome;
@@ -68,7 +67,7 @@ struct PlanEntry {
 ///
 /// Heuristic-ReducedOpt is a pure function of `(tree, component, params)`,
 /// so for a fixed tree and fixed engine params the cut chosen for a
-/// component is fully determined by the component's node list. Faceted
+/// component is fully determined by the component. Faceted
 /// search engines exploit exactly this by caching per-query doc-set
 /// layouts across refinements; here it means the *first* session over a
 /// query pays the partition+solve for each component it expands, and every
@@ -76,12 +75,14 @@ struct PlanEntry {
 /// cut from one hash lookup. Results are bit-identical by construction —
 /// the cache stores the exact `EdgeCut` the fresh pipeline computed.
 ///
-/// Keys are `(hash, len)` fingerprints of the component's pre-order node
-/// list. A hash collision would hand a cut belonging to a different
-/// component to [`Session::expand_cached`]; the session validates every
-/// cached cut against the live component (`ActiveTree` cut validation) and
-/// falls back to a fresh solve when it does not apply, so a collision
-/// costs one failed validation, never a wrong navigation.
+/// Keys are the components themselves, as their root followed by their
+/// holes ([`ActiveTree::component_key`]): one tree's distinct components
+/// have distinct keys, and a key costs a few ids to hash instead of the
+/// whole member list. A foreign cut can only come from a forged or stale
+/// entry; [`Session::expand_cached`] validates every cached cut against
+/// the live component (`ActiveTree` cut validation) and falls back to a
+/// fresh solve when it does not apply, so such an entry costs one failed
+/// validation, never a wrong navigation.
 ///
 /// Memory is bounded: once `capacity` distinct components are cached,
 /// further misses compute fresh without inserting (no LRU churn on the hot
@@ -89,7 +90,7 @@ struct PlanEntry {
 /// atomics for engine telemetry.
 #[derive(Debug, Default)]
 pub struct CutCache {
-    map: Mutex<HashMap<(u64, u32), EdgeCut>>,
+    map: Mutex<HashMap<Vec<NavNodeId>, EdgeCut>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -128,10 +129,10 @@ impl CutCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Cached cuts refused by [`ActiveTree`] validation — fingerprint
-    /// collisions that handed a foreign cut to this component. Expected to
-    /// stay zero in practice; the serve path recovers with a fresh solve
-    /// either way, so this is a diagnostic tally, not an error count.
+    /// Cached cuts refused by [`ActiveTree`] validation — entries that
+    /// handed a foreign cut to this component. Expected to stay zero; the
+    /// serve path recovers with a fresh solve either way, so this is a
+    /// diagnostic tally, not an error count.
     pub fn collisions(&self) -> u64 {
         self.collisions.load(Ordering::Relaxed)
     }
@@ -151,15 +152,9 @@ impl CutCache {
         self.collisions.store(0, Ordering::Relaxed);
     }
 
-    /// Fingerprint of a component's pre-order node list.
-    fn fingerprint(comp: &[NavNodeId]) -> (u64, u32) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        comp.hash(&mut h);
-        (h.finish(), comp.len() as u32)
-    }
-
-    fn get(&self, fp: (u64, u32)) -> Option<EdgeCut> {
-        let hit = self.map.lock().get(&fp).cloned();
+    /// The cut memoized for the component `key` (its root, then its holes).
+    fn get(&self, key: &[NavNodeId]) -> Option<EdgeCut> {
+        let hit = self.map.lock().get(key).cloned();
         // Relaxed: hit/miss tallies are telemetry; the map lock above is
         // what orders the lookup itself.
         match &hit {
@@ -169,35 +164,37 @@ impl CutCache {
         hit
     }
 
-    fn put(&self, fp: (u64, u32), cut: &EdgeCut) {
+    fn put(&self, key: &[NavNodeId], cut: &EdgeCut) {
         // An empty cut expands nothing; memoizing one would turn a
         // transient planner decline into a permanent no-op for every
-        // session hitting this fingerprint. Refuse instead of trusting
+        // session hitting this component. Refuse instead of trusting
         // the caller.
         debug_assert!(!cut.is_empty(), "never memoize an empty cut");
         if cut.is_empty() {
             return;
         }
         let mut map = self.map.lock();
-        if map.len() < self.capacity || map.contains_key(&fp) {
-            map.insert(fp, cut.clone());
+        if let Some(slot) = map.get_mut(key) {
+            *slot = cut.clone();
+        } else if map.len() < self.capacity {
+            map.insert(key.to_vec(), cut.clone());
         }
     }
 }
 
 /// Model-checker hooks: the interleave models (`tests/interleave_models.rs`)
-/// drive the private fingerprint/get/put protocol directly, so the explored
-/// code is the production code, not a replica.
+/// drive the private get/put protocol directly, so the explored code is
+/// the production code, not a replica.
 #[cfg(interleave)]
 impl CutCache {
-    /// [`CutCache::get`] keyed by a component node list (model tests only).
-    pub fn model_get(&self, comp: &[NavNodeId]) -> Option<EdgeCut> {
-        self.get(Self::fingerprint(comp))
+    /// [`CutCache::get`] for a component key (model tests only).
+    pub fn model_get(&self, key: &[NavNodeId]) -> Option<EdgeCut> {
+        self.get(key)
     }
 
-    /// [`CutCache::put`] keyed by a component node list (model tests only).
-    pub fn model_put(&self, comp: &[NavNodeId], cut: &EdgeCut) {
-        self.put(Self::fingerprint(comp), cut)
+    /// [`CutCache::put`] for a component key (model tests only).
+    pub fn model_put(&self, key: &[NavNodeId], cut: &EdgeCut) {
+        self.put(key, cut)
     }
 }
 
@@ -249,8 +246,9 @@ pub struct Session<T: Borrow<NavigationTree>> {
     /// Reusable EXPAND scratch arena (DESIGN.md §5c). Holds no navigation
     /// state, hence not part of [`SessionState`]; rebuilt empty on restore.
     scratch: NavScratch,
-    /// Reusable component-node buffer for the EXPAND hot path.
-    comp_buf: Vec<NavNodeId>,
+    /// Reusable component-key buffer (root, then holes) for the EXPAND
+    /// hot path.
+    key: Vec<NavNodeId>,
 }
 
 impl<T: Borrow<NavigationTree>> Session<T> {
@@ -265,7 +263,7 @@ impl<T: Borrow<NavigationTree>> Session<T> {
             cost: NavOutcome::default(),
             plans: HashMap::new(),
             scratch: NavScratch::new(),
-            comp_buf: Vec::new(),
+            key: Vec::new(),
         }
     }
 
@@ -338,59 +336,69 @@ impl<T: Borrow<NavigationTree>> Session<T> {
                 self.plans.remove(&node);
             }
         }
-        // Single-pass pipeline: reuse the session's component buffer and
+        // Single-pass pipeline: name the component by its root and holes
+        // (no member list) in the session's key buffer, and reuse its
         // scratch arena; the plan (with its retained solver memo) and the
         // applied cut come from the same partition+solve run.
-        let mut comp = std::mem::take(&mut self.comp_buf);
-        self.active
-            .component_nodes_into(self.nav.borrow(), node, &mut comp);
+        let mut key = std::mem::take(&mut self.key);
+        self.active.component_key(self.nav.borrow(), node, &mut key);
+        let result = self.expand_fresh(node, &key, cuts);
+        self.key = key;
+        result
+    }
+
+    /// The fresh-EXPAND tail of [`Session::expand_impl`] for the component
+    /// `key` (its root `node`, then its holes).
+    fn expand_fresh(
+        &mut self,
+        node: NavNodeId,
+        key: &[NavNodeId],
+        cuts: Option<&CutCache>,
+    ) -> Result<Vec<NavNodeId>, EdgeCutError> {
         // Cross-session memo (engine sessions, reuse_plans off): identical
         // components take the identical cut another session computed.
-        let fp = match cuts {
-            Some(cache) if !self.params.reuse_plans => {
-                let fp = CutCache::fingerprint(&comp);
-                // Failpoint: the cut-cache probe (DESIGN.md §5f). An
-                // injected `Error` skips the probe — observably a forced
-                // miss; the fresh solve below recomputes the bit-identical
-                // cut, so costs are unchanged (chaos-tested).
-                let probed = match crate::fault::hit(crate::fault::FailSite::CutCacheProbe) {
-                    Some(crate::fault::Fault::Panic) => {
-                        crate::fault::injected_panic(crate::fault::FailSite::CutCacheProbe)
-                    }
-                    Some(_) => None,
-                    None => {
-                        let _sp = crate::trace::span(crate::trace::Stage::CutCacheLookup);
-                        cache.get(fp)
-                    }
-                };
-                if let Some(cut) = probed {
-                    if let Ok(revealed) = self.expand_with(node, &cut) {
-                        self.comp_buf = comp;
-                        return Ok(revealed);
-                    }
-                    // Fingerprint collision handed us a foreign cut and
-                    // validation refused it: tally the collision and solve
-                    // fresh below. The memoized entry stays (it is correct
-                    // for the component that wrote it).
-                    cache.note_collision();
-                    debug_assert!(
-                        !cut.is_empty(),
-                        "cache handed out an empty cut; put() must refuse those"
-                    );
+        let cache = cuts.filter(|_| !self.params.reuse_plans);
+        if let Some(cache) = cache {
+            // Failpoint: the cut-cache probe (DESIGN.md §5f). An injected
+            // `Error` skips the probe — observably a forced miss; the fresh
+            // solve below recomputes the bit-identical cut, so costs are
+            // unchanged (chaos-tested).
+            let probed = match crate::fault::hit(crate::fault::FailSite::CutCacheProbe) {
+                Some(crate::fault::Fault::Panic) => {
+                    crate::fault::injected_panic(crate::fault::FailSite::CutCacheProbe)
                 }
-                Some(fp)
+                Some(_) => None,
+                None => {
+                    let _sp = crate::trace::span(crate::trace::Stage::CutCacheLookup);
+                    cache.get(key)
+                }
+            };
+            if let Some(cut) = probed {
+                if let Ok(revealed) = self.expand_with(node, &cut) {
+                    return Ok(revealed);
+                }
+                // A forged or stale entry handed us a foreign cut and
+                // validation refused it: tally it and solve fresh below.
+                cache.note_collision();
+                debug_assert!(
+                    !cut.is_empty(),
+                    "cache handed out an empty cut; put() must refuse those"
+                );
             }
-            _ => None,
-        };
-        let planned =
-            plan_component_with(self.nav.borrow(), &comp, &self.params, &mut self.scratch);
-        self.comp_buf = comp;
+        }
+        let planned = plan_at(
+            self.nav.borrow(),
+            node,
+            &key[1..],
+            &self.params,
+            &mut self.scratch.arena,
+        );
         let Some((outcome, planned)) = planned else {
             return Err(EdgeCutError::EmptyCut); // singleton: nothing to expand
         };
         let revealed = self.expand_with(node, &outcome.cut)?;
-        if let (Some(cache), Some(fp)) = (cuts, fp) {
-            cache.put(fp, &outcome.cut);
+        if let Some(cache) = cache {
+            cache.put(key, &outcome.cut);
         }
         if self.params.reuse_plans {
             if let Some((plan, cut)) = planned {
@@ -585,7 +593,7 @@ impl<T: Borrow<NavigationTree>> Session<T> {
             cost: state.cost,
             plans: HashMap::new(),
             scratch: NavScratch::new(),
-            comp_buf: Vec::new(),
+            key: Vec::new(),
         })
     }
 }
@@ -633,6 +641,112 @@ mod tests {
             .unwrap();
         let results = index.query(h.node(busiest).label()).citations;
         NavigationTree::build(&h, &store, &results)
+    }
+
+    /// Root with two same-shaped branches `A` and `B`, two leaves each,
+    /// one citation per concept.
+    fn twin_nav() -> NavigationTree {
+        use bionav_medline::{Citation, CitationStore};
+        use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
+        let shape = [
+            ("A", "A01"),
+            ("A1", "A01.100"),
+            ("A2", "A01.200"),
+            ("B", "B01"),
+            ("B1", "B01.100"),
+            ("B2", "B01.200"),
+        ];
+        let descs: Vec<Descriptor> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(label, tn))| {
+                Descriptor::new(
+                    DescriptorId(i as u32 + 1),
+                    label,
+                    vec![TreeNumber::parse(tn).unwrap()],
+                )
+            })
+            .collect();
+        let h = ConceptHierarchy::from_descriptors(&descs).unwrap();
+        let mut store = CitationStore::new();
+        for i in 1..=shape.len() as u32 {
+            store
+                .insert(Citation::new(
+                    CitationId(i),
+                    "t",
+                    vec![],
+                    vec![bionav_mesh::DescriptorId(i)],
+                    vec![],
+                ))
+                .unwrap();
+        }
+        let results: Vec<CitationId> = (1..=shape.len() as u32).map(CitationId).collect();
+        NavigationTree::build(&h, &store, &results)
+    }
+
+    #[test]
+    fn equal_sized_components_get_distinct_cache_keys() {
+        let nav = twin_nav();
+        let a = nav.find_by_label("A").unwrap();
+        let b = nav.find_by_label("B").unwrap();
+        let mut cut_a = ActiveTree::new(&nav);
+        cut_a
+            .expand(&nav, NavNodeId::ROOT, &EdgeCut::new(vec![a]))
+            .unwrap();
+        let mut cut_b = ActiveTree::new(&nav);
+        cut_b
+            .expand(&nav, NavNodeId::ROOT, &EdgeCut::new(vec![b]))
+            .unwrap();
+        let key = |active: &ActiveTree, root: NavNodeId| {
+            let mut key = Vec::new();
+            active.component_key(&nav, root, &mut key);
+            key
+        };
+        // The root's component has four members in both states, and the
+        // cut-away A and B have three each: equal counts, distinct
+        // components.
+        for (x, y, size) in [(NavNodeId::ROOT, NavNodeId::ROOT, 4), (a, b, 3)] {
+            assert_eq!(cut_a.component_size(&nav, x), size);
+            assert_eq!(cut_b.component_size(&nav, y), size);
+        }
+        let (ka, kb) = (key(&cut_a, NavNodeId::ROOT), key(&cut_b, NavNodeId::ROOT));
+        assert_eq!(ka, vec![NavNodeId::ROOT, a]);
+        assert_eq!(kb, vec![NavNodeId::ROOT, b]);
+        assert_eq!(key(&cut_a, a), vec![a]);
+        assert_eq!(key(&cut_b, b), vec![b]);
+
+        let cache = CutCache::new(8);
+        let b_cut = EdgeCut::new(vec![b]);
+        cache.put(&ka, &b_cut);
+        assert_eq!(cache.get(&kb), None, "B's holed root component must miss");
+        assert_eq!(cache.get(&ka), Some(b_cut));
+        assert_eq!(cache.get(&[a]), None);
+    }
+
+    #[test]
+    fn a_forged_cache_entry_is_refused_and_solved_fresh() {
+        use crate::edgecut::counters;
+        let nav = session_nav();
+        let fresh = Session::new(&nav, CostParams::default())
+            .expand(NavNodeId::ROOT)
+            .unwrap();
+        // Forge the untouched tree's key (its root, no holes) onto a cut no
+        // component accepts: the root cannot be a lower endpoint.
+        let cache = CutCache::new(8);
+        cache.put(&[NavNodeId::ROOT], &EdgeCut::new(vec![NavNodeId::ROOT]));
+        let mut s = Session::new(&nav, CostParams::default());
+        counters::reset();
+        assert_eq!(s.expand_cached(NavNodeId::ROOT, &cache).unwrap(), fresh);
+        assert_eq!(cache.collisions(), 1, "the refused entry is tallied");
+        assert_eq!(counters::partition_runs(), 1, "and the cut solved fresh");
+        // The fresh cut replaced the forged entry: the next session is
+        // served from the memo.
+        let mut t = Session::new(&nav, CostParams::default());
+        counters::reset();
+        assert_eq!(t.expand_cached(NavNodeId::ROOT, &cache).unwrap(), fresh);
+        assert_eq!(counters::partition_runs(), 0);
+        assert_eq!(cache.collisions(), 1);
+        assert_eq!(cache.hits(), 2);
     }
 
     #[test]

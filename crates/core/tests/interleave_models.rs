@@ -145,16 +145,17 @@ fn cut_cache_concurrent_miss_and_insert() {
         Config::default(),
         || {
             let cache = Arc::new(CutCache::new(4));
-            let comp = [NavNodeId(1), NavNodeId(2), NavNodeId(3)];
+            // The component key: root 1, then its one hole 3.
+            let key = [NavNodeId(1), NavNodeId(3)];
             let cut = EdgeCut::new(vec![NavNodeId(2)]);
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     let cache = Arc::clone(&cache);
                     let cut = cut.clone();
                     interleave::thread::spawn(move || {
-                        let comp = [NavNodeId(1), NavNodeId(2), NavNodeId(3)];
-                        if cache.model_get(&comp).is_none() {
-                            cache.model_put(&comp, &cut);
+                        let key = [NavNodeId(1), NavNodeId(3)];
+                        if cache.model_get(&key).is_none() {
+                            cache.model_put(&key, &cut);
                         }
                     })
                 })
@@ -168,7 +169,7 @@ fn cut_cache_concurrent_miss_and_insert() {
                 2,
                 "every lookup is a hit or a miss"
             );
-            let served = cache.model_get(&comp).expect("component is memoized");
+            let served = cache.model_get(&key).expect("component is memoized");
             assert_eq!(served.lower_roots(), cut.lower_roots());
         },
     );
@@ -188,10 +189,11 @@ fn cut_cache_capacity_bound_under_races() {
                 .map(|t| {
                     let cache = Arc::clone(&cache);
                     interleave::thread::spawn(move || {
-                        let comp = [NavNodeId(10 + t as u32), NavNodeId(20 + t as u32)];
-                        let cut = EdgeCut::new(vec![NavNodeId(10 + t as u32)]);
-                        if cache.model_get(&comp).is_none() {
-                            cache.model_put(&comp, &cut);
+                        // Root 10 + t with one hole, 20 + t.
+                        let key = [NavNodeId(10 + t as u32), NavNodeId(20 + t as u32)];
+                        let cut = EdgeCut::new(vec![NavNodeId(11 + t as u32)]);
+                        if cache.model_get(&key).is_none() {
+                            cache.model_put(&key, &cut);
                         }
                     })
                 })

@@ -21,14 +21,17 @@
 //!
 //! A deterministic star fixture also pins the pass count per run
 //! (`edgecut::counters::cluster_passes`), so the search cannot quietly go
-//! back to a linear walk.
+//! back to a linear walk, and a bushy fixture pins the nodes each pass
+//! visits (`edgecut::counters::cluster_nodes`): a fresh root EXPAND sweeps
+//! the heavy members and their children, never the whole component.
 
 use bionav_core::edgecut::counters;
 use bionav_core::edgecut::partition::{
     oracle, partition_component, partition_component_in, partition_until, partition_until_in,
 };
 use bionav_core::scratch::NavScratch;
-use bionav_core::{ActiveTree, EdgeCut, NavNodeId, NavigationTree};
+use bionav_core::session::Session;
+use bionav_core::{ActiveTree, CostParams, EdgeCut, NavNodeId, NavigationTree};
 use bionav_medline::{Citation, CitationId, CitationStore};
 use bionav_mesh::{ConceptHierarchy, Descriptor, DescriptorId, TreeNumber};
 use proptest::prelude::*;
@@ -358,6 +361,49 @@ fn ladder_search_bounds_the_passes_per_run() {
         );
         assert_eq!(parts, oracle::partition_until(&nav, &comp, k));
     }
+}
+
+/// A concept with 4 children, each with 10 children of 15 unit-weight
+/// leaves, below the hierarchy root (646 nodes): at `M₀ = W/10` the two
+/// roots and the 4 children are heavy, and each of the 40 grandchildren is
+/// a light subtree.
+fn bushy_fixture() -> NavigationTree {
+    let mut parents = vec![0; 4];
+    parents.extend((1..=4).flat_map(|mid| [mid; 10]));
+    parents.extend((5..45).flat_map(|twig| [twig; 15]));
+    let cites = vec![1; parents.len() + 1];
+    build_nav(&TreeSpec { parents, cites })
+}
+
+#[test]
+fn a_fresh_root_expand_sweeps_only_the_heavy_frontier() {
+    let nav = bushy_fixture();
+    let comp: Vec<NavNodeId> = nav.iter_preorder().collect();
+    assert_eq!(comp.len(), 646, "bushy fixture unexpectedly pruned");
+    let params = CostParams::default();
+    // The heavy members weigh more than the lowest rung; each pass sweeps
+    // them and their children, whatever lies deeper.
+    let subtree = |n: NavNodeId| total_weight(&nav, &nav.subtree_nodes(n));
+    let m0 = (total_weight(&nav, &comp) / params.max_partitions as u64).max(1);
+    let heavy: Vec<NavNodeId> = comp.iter().copied().filter(|&n| subtree(n) > m0).collect();
+    let frontier = 1 + heavy.iter().map(|&n| nav.children(n).len()).sum::<usize>();
+    assert_eq!(
+        frontier, 46,
+        "two roots, 4 heavy children, their 40 children"
+    );
+
+    let mut session = Session::new(&nav, params);
+    counters::reset();
+    session.expand(NavNodeId::ROOT).expect("the root expands");
+    assert_eq!(counters::partition_runs(), 1);
+    let passes = counters::cluster_passes();
+    assert!(passes >= 1);
+    assert_eq!(
+        counters::cluster_nodes(),
+        passes * frontier as u64,
+        "{passes} passes must each sweep the {frontier}-node heavy frontier, not the {}-node component",
+        comp.len()
+    );
 }
 
 #[test]

@@ -83,6 +83,17 @@ pub struct HierarchyColumns {
     /// the offsets column stays small).
     pos_off: Vec<u32>,
     pos_idx: Vec<NodeId>,
+    /// The node at each pre-order rank (children in
+    /// [`children`](Self::children) order); arena order need not be
+    /// pre-order.
+    preorder: Vec<NodeId>,
+    /// Exclusive end, in rank space, of the subtree at each rank: the
+    /// subtree of the node at rank `r` is exactly ranks `r..rank_end[r]`.
+    rank_end: Vec<u32>,
+    /// The positions CSR in rank space: `pos_rank[k]` is the rank of
+    /// `pos_idx[k]`, so a descriptor's positions come as ranks without a
+    /// lookup per position.
+    pos_rank: Vec<u32>,
 }
 
 impl HierarchyColumns {
@@ -138,6 +149,31 @@ impl HierarchyColumns {
                 cursor[d as usize] += 1;
             }
         }
+        // Pre-order ranks from one explicit-stack walk (a 100k-level
+        // `synth::deep_chain` would overflow a recursive one), then subtree
+        // ends folded bottom-up in reverse rank order, and the positions
+        // CSR translated into rank space.
+        let mut preorder = Vec::with_capacity(n);
+        let mut stack = vec![NodeId::ROOT];
+        while let Some(h) = stack.pop() {
+            preorder.push(h);
+            let i = h.index();
+            stack.extend(
+                child_idx[child_off[i] as usize..child_off[i + 1] as usize]
+                    .iter()
+                    .rev(),
+            );
+        }
+        let mut rank = vec![0u32; n];
+        for (r, h) in preorder.iter().enumerate() {
+            rank[h.index()] = r as u32;
+        }
+        let mut rank_end: Vec<u32> = (1..=n as u32).collect();
+        for r in (1..preorder.len()).rev() {
+            let up = rank[parent[preorder[r].index()] as usize] as usize;
+            rank_end[up] = rank_end[up].max(rank_end[r]);
+        }
+        let pos_rank = pos_idx.iter().map(|h| rank[h.index()]).collect();
         HierarchyColumns {
             parent,
             depth,
@@ -148,6 +184,9 @@ impl HierarchyColumns {
             labels,
             pos_off,
             pos_idx,
+            preorder,
+            rank_end,
+            pos_rank,
         }
     }
 
@@ -177,6 +216,26 @@ impl HierarchyColumns {
         &self.labels[self.label_off[i] as usize..self.label_off[i + 1] as usize]
     }
 
+    /// The node at each pre-order rank: the root is rank 0, and the
+    /// subtree of the node at rank `r` is the ranks `r..rank_end()[r]`.
+    pub fn preorder(&self) -> &[NodeId] {
+        &self.preorder
+    }
+
+    /// Exclusive subtree end per rank, in rank space.
+    pub fn rank_end(&self) -> &[u32] {
+        &self.rank_end
+    }
+
+    /// The pre-order ranks of [`positions_of`](Self::positions_of)`(d)`,
+    /// in the same order.
+    pub fn position_ranks_of(&self, d: u32) -> &[u32] {
+        match self.pos_off.get(d as usize..d as usize + 2) {
+            Some(w) => &self.pos_rank[w[0] as usize..w[1] as usize],
+            None => &[],
+        }
+    }
+
     /// All positions of raw descriptor id `d`, in arena order — the
     /// hash-free analogue of [`ConceptHierarchy::nodes_of`]. Unknown ids
     /// yield an empty slice.
@@ -200,10 +259,13 @@ impl ConceptHierarchy {
     }
 
     /// Builds a hierarchy directly from pre-resolved arena parts, bypassing
-    /// tree numbers entirely. Crate-internal: the synthetic generators use
-    /// it for shapes that are impractical to express as tree numbers (a
-    /// 100k-level chain's dotted position strings alone would be quadratic
-    /// in the depth). Synthesized nodes carry no [`TreeNumber`].
+    /// tree numbers entirely. The synthetic generators use it for shapes
+    /// that are impractical to express as tree numbers (a 100k-level
+    /// chain's dotted position strings alone would be quadratic in the
+    /// depth), and tests use it for arenas that are not in pre-order (a
+    /// parent precedes its children, but not necessarily its whole
+    /// subtree). Synthesized nodes carry no [`TreeNumber`]; a node's
+    /// children are ordered by arena id.
     ///
     /// # Panics
     /// Entry 0 must be the root (`parents[0] == None`, and only entry 0 may
@@ -211,7 +273,7 @@ impl ConceptHierarchy {
     /// entry, preserving the arena's parent-before-child order that depth
     /// computation and bottom-up passes rely on. All three slices must have
     /// equal length.
-    pub(crate) fn from_arena_parts(
+    pub fn from_arena_parts(
         labels: Vec<String>,
         descriptors: Vec<Option<DescriptorId>>,
         parents: Vec<Option<u32>>,
@@ -736,6 +798,30 @@ mod tests {
             .build(&sample())
             .unwrap();
         assert_eq!(h.root().label(), "GO");
+    }
+
+    #[test]
+    fn ranks_follow_the_preorder_walk_of_any_arena() {
+        // Arena order root, a, c, b: b (a's child) comes after a's sibling
+        // c, so ranks differ from ids.
+        let h = ConceptHierarchy::from_arena_parts(
+            vec!["MeSH".into(), "a".into(), "c".into(), "b".into()],
+            vec![None, Some(DescriptorId(1)), Some(DescriptorId(2)), None],
+            vec![None, Some(0), Some(0), Some(1)],
+        );
+        let cols = h.columns();
+        let walked: Vec<NodeId> = h.iter_preorder().collect();
+        assert_eq!(walked, vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2)]);
+        assert_eq!(cols.preorder(), walked.as_slice());
+        for (r, &n) in walked.iter().enumerate() {
+            let end = cols.rank_end()[r] as usize;
+            assert_eq!(end - r, h.subtree_size(n), "subtree of {}", n.0);
+        }
+        // c (arena id 2) sits at rank 3.
+        assert_eq!(cols.positions_of(2), &[NodeId(2)]);
+        assert_eq!(cols.position_ranks_of(2), &[3]);
+        assert_eq!(cols.position_ranks_of(1), &[1]);
+        assert!(cols.position_ranks_of(99).is_empty());
     }
 
     #[test]

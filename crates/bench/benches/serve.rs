@@ -1,5 +1,4 @@
-//! Criterion benches for the concurrent serving engine: batch script
-//! replay throughput at different worker counts, and the cache hit path vs
+//! Criterion benches for the serving engine: the tree-cache hit path vs
 //! the tree-build miss path.
 //!
 //! Scale via `BIONAV_BENCH_SCALE` (default 0.25).
@@ -9,7 +8,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use bionav_bench::build_workload;
-use bionav_core::engine::{Engine, ScriptOp};
+use bionav_core::engine::Engine;
 use bionav_core::{CostParams, NavigationTree, SharedTree};
 use bionav_workload::Workload;
 
@@ -38,33 +37,6 @@ fn make_engine(
         CostParams::default(),
         workload.queries.len().max(1),
     )
-}
-
-/// Batch replay of every Table I query, swept over worker counts.
-fn bench_replay_workers(c: &mut Criterion) {
-    let workload = build_workload(bench_scale());
-    let jobs: Vec<(String, Vec<ScriptOp>)> = workload
-        .queries
-        .iter()
-        .map(|q| (q.spec.keywords.clone(), vec![ScriptOp::ExpandFully]))
-        .collect();
-    let mut group = c.benchmark_group("serve_replay");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4, 8] {
-        let engine = make_engine(&workload);
-        // Warm the tree cache so the sweep measures navigation, not builds.
-        for (q, _) in &jobs {
-            engine.tree_for(q);
-        }
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| engine.replay(black_box(&jobs), workers));
-            },
-        );
-    }
-    group.finish();
 }
 
 /// The cache hit path (shared `Arc` clone) vs the miss path (full
@@ -96,5 +68,5 @@ fn bench_tree_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_replay_workers, bench_tree_cache);
+criterion_group!(benches, bench_tree_cache);
 criterion_main!(benches);

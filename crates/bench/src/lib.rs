@@ -38,10 +38,9 @@ pub fn build_workload_with(scale: f64, crawl_associations: bool) -> Workload {
     Workload::build(&cfg)
 }
 
-/// Evaluates every workload query in parallel on a **bounded** worker pool
-/// (at most `min(available_parallelism, queries)` OS threads — a scaled
-/// workload with thousands of queries no longer spawns a thread apiece),
-/// preserving specification order. Results are identical to
+/// Evaluates every workload query in parallel on at most
+/// `min(available_parallelism, queries)` scoped threads, preserving
+/// specification order. Results are identical to
 /// `bionav_workload::evaluate` — navigation is deterministic — but the pass
 /// completes in roughly the wall-clock of the slowest queries instead of
 /// the sum.
@@ -54,40 +53,40 @@ pub fn evaluate_parallel(workload: &Workload, params: &CostParams) -> Vec<QueryE
 /// ([`counters::dp_prefixes`](bionav_core::edgecut::counters::dp_prefixes)).
 /// The counter is per thread, so each task reads its own worker's delta
 /// and the deltas are summed; the sum is clock-free and deterministic.
+/// A panicking evaluation propagates out of the worker's join.
 pub fn evaluate_parallel_counted(
     workload: &Workload,
     params: &CostParams,
 ) -> (Vec<QueryEval>, u64) {
     use bionav_core::edgecut::counters;
-    let tasks: Vec<&str> = workload
-        .queries
-        .iter()
-        .map(|q| q.spec.name.as_str())
-        .collect();
-    let mut work = 0;
-    let evals =
-        bionav_core::engine::pool::scoped_map(tasks.len(), default_workers(tasks.len()), |i| {
-            let before = counters::dp_prefixes();
-            let eval = evaluate_query(workload, tasks[i], params);
-            (eval, counters::dp_prefixes() - before)
-        })
-        .into_iter()
-        .map(|slot| match slot {
-            Ok((eval, dp)) => {
-                work += dp;
-                eval
-            }
-            // The pool isolates per-task panics (DESIGN.md §5f); for this
-            // offline driver a lost query is fatal, so surface it loudly
-            // instead of silently dropping the row.
-            #[expect(
-                clippy::panic,
-                reason = "offline bench driver: a lost evaluation row must abort the run"
-            )]
-            Err(p) => panic!("evaluation of query #{} panicked: {}", p.task, p.message),
-        })
-        .collect();
-    (evals, work)
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let queries = &workload.queries;
+    let next = AtomicUsize::new(0);
+    let mut rows: Vec<(usize, QueryEval, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..default_workers(queries.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut rows = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out distinct task
+                        // indices; the rows flow back through join.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(q) = queries.get(i) else { break rows };
+                        let before = counters::dp_prefixes();
+                        let eval = evaluate_query(workload, &q.spec.name, params);
+                        rows.push((i, eval, counters::dp_prefixes() - before));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    rows.sort_unstable_by_key(|&(i, _, _)| i);
+    let work = rows.iter().map(|&(_, _, dp)| dp).sum();
+    (rows.into_iter().map(|(_, eval, _)| eval).collect(), work)
 }
 
 /// Default worker count for bench drivers: the machine's parallelism (4

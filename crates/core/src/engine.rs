@@ -13,10 +13,9 @@
 //!   each independently resumable from any worker thread
 //!   (`Session<Arc<NavigationTree>>` is `Send`, enforced at compile time
 //!   below);
-//! * a batch driver ([`Engine::replay`]) replays navigation scripts from N
-//!   pooled worker threads, and [`Engine::stats`] exposes the serving
-//!   telemetry (cache hit rate, per-EXPAND latency percentiles,
-//!   sessions/sec) the bench harness reports.
+//! * [`Engine::stats`] exposes the serving telemetry (cache hit rate,
+//!   per-EXPAND latency percentiles, sessions/sec) that the REPL, the wire
+//!   server and navbench report.
 //!
 //! Thread-safety audit: `NavigationTree`, `ActiveTree` and `SessionState`
 //! are plain owned data with no interior mutability; `ReducedPlan` carries
@@ -51,11 +50,11 @@
 //!   ([`Stage::Degraded`]) / the Prometheus exposition. With the default
 //!   policy and no armed faults the ladder never fires and per-query
 //!   costs are bit-identical to the exact pipeline (chaos-tested).
-//! * **Panic isolation & quarantine** — EXPAND bodies and pool-worker
-//!   tasks run inside [`fault::isolate`]; a panic
-//!   becomes a typed error, the affected session is quarantined (visible
-//!   in stats; [`Engine::close_session`] still drains it) and the batch
-//!   keeps going. An admission gate bounds in-flight EXPANDs and sheds
+//! * **Panic isolation & quarantine** — EXPAND bodies run inside
+//!   [`fault::isolate`]; a panic becomes a typed error, the affected
+//!   session is quarantined (visible in stats; [`Engine::close_session`]
+//!   still drains it) and every other session keeps serving. An
+//!   admission gate bounds in-flight EXPANDs and sheds
 //!   load with [`EngineError::Overloaded`] instead of queueing
 //!   unboundedly.
 
@@ -78,161 +77,9 @@ use crate::cost::CostParams;
 use crate::fault::{self, FailSite, Fault};
 use crate::navtree::{NavNodeId, NavigationTree};
 use crate::session::{CutCache, Session, SessionState};
-use crate::sim::NavOutcome;
-
-pub mod pool {
-    //! A minimal bounded worker pool over `std::thread::scope`.
-    //!
-    //! Replaces the seed's unbounded one-thread-per-task fan-out: `workers`
-    //! OS threads pull task indices from a shared atomic counter until the
-    //! range is drained. Results are returned in task order, so callers see
-    //! output byte-identical to a sequential map.
-    //!
-    //! **Panic isolation** (DESIGN.md §5f): each task body runs inside
-    //! [`fault::isolate`]. A panicking task yields a
-    //! typed [`WorkerPanicked`] in its own slot while the worker thread
-    //! keeps draining the counter — one bad task never loses the other
-    //! tasks' results or aborts the batch.
-
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    use crate::fault::{self, FailSite};
-
-    /// One pool task panicked; the other tasks' results are unaffected.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct WorkerPanicked {
-        /// Index of the panicking task in `0..tasks`.
-        pub task: usize,
-        /// The panic payload, stringified.
-        pub message: String,
-    }
-
-    /// Maps `f` over `0..tasks` on at most `workers` threads, returning
-    /// per-task results in task order — `Ok(value)` or the typed
-    /// [`WorkerPanicked`] if that task's body panicked. `workers` is
-    /// clamped to `[1, tasks]`; with a single worker the map runs inline
-    /// on the caller's thread (panics are isolated the same way).
-    pub fn scoped_map<T, F>(tasks: usize, workers: usize, f: F) -> Vec<Result<T, WorkerPanicked>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        // Failpoint + isolation wrapper shared by the inline and pooled
-        // paths. The `PoolWorker` site models a task body dying: any fired
-        // fault panics here, inside the isolate region.
-        let run = |i: usize| -> Result<T, WorkerPanicked> {
-            fault::isolate(|| {
-                if fault::hit(FailSite::PoolWorker).is_some() {
-                    // Every fault action at this site models a worker death.
-                    fault::injected_panic(FailSite::PoolWorker);
-                }
-                f(i)
-            })
-            .map_err(|message| WorkerPanicked { task: i, message })
-        };
-        if tasks == 0 {
-            return Vec::new();
-        }
-        let workers = workers.clamp(1, tasks);
-        if workers == 1 {
-            return (0..tasks).map(run).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let buckets: Vec<Vec<(usize, Result<T, WorkerPanicked>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            // Relaxed: the counter only hands out distinct
-                            // indices; results flow back via join, which
-                            // synchronizes.
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= tasks {
-                                break;
-                            }
-                            out.push((i, run(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "task bodies are caught by fault::isolate above, so a worker thread itself never panics; join can only fail if the runtime is broken"
-            )]
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker thread panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<Result<T, WorkerPanicked>>> = (0..tasks).map(|_| None).collect();
-        for bucket in buckets {
-            for (i, v) in bucket {
-                slots[i] = Some(v);
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "fetch_add hands each index to exactly one worker, so every slot is filled by construction"
-        )]
-        slots
-            .into_iter()
-            .map(|s| s.expect("every task index is claimed exactly once"))
-            .collect()
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn preserves_order_and_runs_every_task() {
-            for workers in [1, 2, 7, 64] {
-                let out = scoped_map(100, workers, |i| i * 3);
-                assert_eq!(out, (0..100).map(|i| Ok(i * 3)).collect::<Vec<_>>());
-            }
-        }
-
-        #[test]
-        fn zero_tasks_is_fine() {
-            let out: Vec<Result<u32, WorkerPanicked>> = scoped_map(0, 8, |_| unreachable!());
-            assert!(out.is_empty());
-        }
-
-        #[test]
-        fn one_panicking_task_does_not_lose_the_others() {
-            // Regression (DESIGN.md §5f): the old pool re-raised a worker
-            // panic on the caller, aborting the whole batch. Now the
-            // panicking task reports typed and every other slot survives —
-            // across worker counts, including the inline single-worker path.
-            for workers in [1, 2, 4, 16] {
-                let out = scoped_map(20, workers, |i| {
-                    if i == 7 {
-                        panic!("task 7 exploded");
-                    }
-                    i * 2
-                });
-                assert_eq!(out.len(), 20);
-                for (i, slot) in out.iter().enumerate() {
-                    if i == 7 {
-                        let err = slot.as_ref().expect_err("task 7 must report its panic");
-                        assert_eq!(err.task, 7);
-                        assert!(err.message.contains("task 7 exploded"), "{}", err.message);
-                    } else {
-                        assert_eq!(slot.as_ref().copied(), Ok(i * 2), "slot {i} lost");
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// A navigation tree shared between the cache and any number of sessions.
 pub type SharedTree = Arc<NavigationTree>;
-
-/// A parked session's handle paired with its tree's cross-session cut memo.
-type SessionAndCuts = (Arc<Mutex<Session<SharedTree>>>, Arc<CutCache>);
 
 /// Handle to a session parked in the engine's session table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -251,37 +98,6 @@ impl SessionId {
     pub(crate) fn from_raw(raw: u64) -> Self {
         SessionId(raw)
     }
-}
-
-/// One step of a replayable navigation script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScriptOp {
-    /// EXPAND one visible node.
-    Expand(NavNodeId),
-    /// EXPAND visible components in pre-order until the tree is fully
-    /// expanded (the oracle "drill everywhere" load generator).
-    ExpandFully,
-    /// SHOWRESULTS on one visible node.
-    ShowResults(NavNodeId),
-    /// IGNORE a revealed node.
-    Ignore(NavNodeId),
-    /// BACKTRACK the last expansion.
-    Backtrack,
-}
-
-/// What one script replay produced.
-#[derive(Debug, Clone)]
-pub struct ScriptOutcome {
-    /// The (raw) query text the script navigated.
-    pub query: String,
-    /// The session's accumulated §III cost at script end.
-    pub cost: NavOutcome,
-    /// Wall-clock nanoseconds of every EXPAND the script performed.
-    pub expand_ns: Vec<u64>,
-    /// How many of the script's EXPANDs were answered by the degradation
-    /// ladder (0 on the clean path — navbench's `clean_engine_checks`
-    /// fails a run in which anything degrades).
-    pub degraded_expands: u32,
 }
 
 /// Why an EXPAND was answered by the degradation ladder instead of the
@@ -351,13 +167,6 @@ pub enum EngineError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// A pool worker task panicked during a batch replay.
-    WorkerPanicked {
-        /// Index of the failed job.
-        task: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
     /// A persisted [`SessionState`] does not fit the query's rebuilt tree
     /// (stale or foreign state; the `ActiveTree::fits` validation).
     StateMismatch,
@@ -390,9 +199,6 @@ impl fmt::Display for EngineError {
             EngineError::SessionPanicked { id, message } => {
                 write!(f, "session {id:?} panicked and was quarantined: {message}")
             }
-            EngineError::WorkerPanicked { task, message } => {
-                write!(f, "replay job {task} panicked: {message}")
-            }
             EngineError::StateMismatch => {
                 write!(f, "persisted session state does not fit the query's tree")
             }
@@ -415,7 +221,7 @@ impl fmt::Display for EngineError {
 impl EngineError {
     /// Kind names indexed by the variant's position in the enum; the
     /// flight-recorder code is this index plus one (0 = success).
-    const KIND_NAMES: [&'static str; 12] = [
+    const KIND_NAMES: [&'static str; 11] = [
         "unknown_query",
         "unknown_session",
         "session_busy",
@@ -423,7 +229,6 @@ impl EngineError {
         "overloaded",
         "tree_build_failed",
         "session_panicked",
-        "worker_panicked",
         "state_mismatch",
         "cut",
         "deadline_exceeded",
@@ -439,11 +244,10 @@ impl EngineError {
             EngineError::Overloaded => 4,
             EngineError::TreeBuildFailed(_) => 5,
             EngineError::SessionPanicked { .. } => 6,
-            EngineError::WorkerPanicked { .. } => 7,
-            EngineError::StateMismatch => 8,
-            EngineError::Cut(_) => 9,
-            EngineError::DeadlineExceeded => 10,
-            EngineError::BreakerOpen { .. } => 11,
+            EngineError::StateMismatch => 7,
+            EngineError::Cut(_) => 8,
+            EngineError::DeadlineExceeded => 9,
+            EngineError::BreakerOpen { .. } => 10,
         }
     }
 
@@ -481,7 +285,7 @@ impl From<EdgeCutError> for EngineError {
 /// Bounded-time serving policy: when EXPAND drops onto the degradation
 /// ladder, and how much concurrent EXPAND load the engine admits
 /// (DESIGN.md §5f). The default policy never degrades and admits far more
-/// in-flight EXPANDs than any worker pool this engine runs — the clean
+/// in-flight EXPANDs than any front end drives concurrently — the clean
 /// serve path is unchanged (chaos-tested bit-identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradePolicy {
@@ -722,11 +526,11 @@ where
     }
 
     /// The request envelope of [`Engine::open_session`] /
-    /// [`Engine::restore_session`], [`Engine::expand`] and
-    /// [`Engine::run_script`]: open (or join) the `verb` flight scope, tag
-    /// the fault shard, and run `body` under the capture tape and an
-    /// outermost `stage` span; then drain the tape into the stage metrics
-    /// and note a typed failure on the flight record.
+    /// [`Engine::restore_session`] and [`Engine::expand`]: open (or join)
+    /// the `verb` flight scope, tag the fault shard, and run `body` under
+    /// the capture tape and an outermost `stage` span; then drain the tape
+    /// into the stage metrics and note a typed failure on the flight
+    /// record.
     fn serve_request<T>(
         &self,
         verb: Verb,
@@ -1014,20 +818,6 @@ where
         Some(f(&mut session))
     }
 
-    /// The parked session's handle plus its tree's cut memo; typed refusal
-    /// for unknown or quarantined sessions.
-    fn session_and_cuts(&self, id: SessionId) -> Result<SessionAndCuts, EngineError> {
-        let table = {
-            let _lk = trace::span(Stage::LockWait);
-            self.sessions.lock()
-        };
-        let slot = table.get(&id.0).ok_or(EngineError::UnknownSession(id))?;
-        if slot.poisoned {
-            return Err(EngineError::Quarantined(id));
-        }
-        Ok((Arc::clone(&slot.session), Arc::clone(&slot.cuts)))
-    }
-
     /// Move a session to quarantine after a panic escaped an operation on
     /// it: the slot stops serving, the gauges tick, and only
     /// [`Engine::close_session`] (which merely exports state) touches it
@@ -1181,57 +971,6 @@ where
         }
     }
 
-    /// One gated, panic-isolated EXPAND over an already-resolved session
-    /// slot. Returns the engine-level outcome; the inner `Result` is the
-    /// navigation-level cut outcome plus the operation's wall time
-    /// (recorded in the latency histogram for both cut outcomes, matching
-    /// the pre-taxonomy telemetry).
-    #[allow(clippy::type_complexity)]
-    fn expand_on_slot(
-        &self,
-        id: SessionId,
-        slot: &Arc<Mutex<Session<SharedTree>>>,
-        cuts: &CutCache,
-        node: NavNodeId,
-    ) -> Result<(Result<ExpandReply, EdgeCutError>, u64), EngineError> {
-        let _gate = self.admit_expand()?;
-        let t0 = trace::now_ns();
-        let isolated = fault::isolate(|| {
-            // Failpoint: session-lock acquisition (DESIGN.md §5f).
-            if let Some(f) = fault::hit(FailSite::SessionLock) {
-                match f {
-                    Fault::Panic => fault::injected_panic(FailSite::SessionLock),
-                    _ => return Err(EngineError::SessionBusy(id)),
-                }
-            }
-            let mut session = {
-                let _lk = trace::span(Stage::LockWait);
-                slot.lock()
-            };
-            // lint: allow(lock-across-solve) — per-session lock: one
-            // navigator per session by protocol; sessions never contend
-            Ok(self.ladder_expand(&mut session, cuts, node))
-        });
-        let ns = trace::now_ns().saturating_sub(t0);
-        match isolated {
-            Ok(Ok(laddered)) => {
-                self.window.record_expand(ns);
-                Ok((
-                    laddered.map(|(revealed, degraded)| ExpandReply { revealed, degraded }),
-                    ns,
-                ))
-            }
-            Ok(Err(engine_err)) => Err(engine_err),
-            Err(message) => {
-                // The panic unwound out of the session lock; whatever state
-                // it left behind is untrusted. Quarantine (table lock only —
-                // the session guard died in the unwind).
-                self.quarantine_session(id);
-                Err(EngineError::SessionPanicked { id, message })
-            }
-        }
-    }
-
     /// EXPAND on a parked session: admission-gated, panic-isolated,
     /// degradation-laddered, latency-recorded, consulting the tree's
     /// cross-session [`CutCache`].
@@ -1246,9 +985,53 @@ where
             // Expired on arrival? Reject typed before touching the session
             // table or any solver machinery (DESIGN.md §5k).
             self.deadline_reject()?;
-            let (slot, cuts) = self.session_and_cuts(id)?;
-            let (result, _ns) = self.expand_on_slot(id, &slot, &cuts, node)?;
-            result.map_err(EngineError::Cut)
+            let (slot, cuts) = {
+                let table = {
+                    let _lk = trace::span(Stage::LockWait);
+                    self.sessions.lock()
+                };
+                let slot = table.get(&id.0).ok_or(EngineError::UnknownSession(id))?;
+                if slot.poisoned {
+                    return Err(EngineError::Quarantined(id));
+                }
+                (Arc::clone(&slot.session), Arc::clone(&slot.cuts))
+            };
+            let _gate = self.admit_expand()?;
+            let t0 = trace::now_ns();
+            let isolated = fault::isolate(|| {
+                // Failpoint: session-lock acquisition (DESIGN.md §5f).
+                if let Some(f) = fault::hit(FailSite::SessionLock) {
+                    match f {
+                        Fault::Panic => fault::injected_panic(FailSite::SessionLock),
+                        _ => return Err(EngineError::SessionBusy(id)),
+                    }
+                }
+                let mut session = {
+                    let _lk = trace::span(Stage::LockWait);
+                    slot.lock()
+                };
+                // lint: allow(lock-across-solve) — per-session lock: one
+                // navigator per session by protocol; sessions never contend
+                Ok(self.ladder_expand(&mut session, &cuts, node))
+            });
+            match isolated {
+                Ok(Ok(laddered)) => {
+                    // A cut refusal is a served EXPAND too: both outcomes
+                    // land in the latency histogram.
+                    self.window
+                        .record_expand(trace::now_ns().saturating_sub(t0));
+                    let (revealed, degraded) = laddered?;
+                    Ok(ExpandReply { revealed, degraded })
+                }
+                Ok(Err(engine_err)) => Err(engine_err),
+                Err(message) => {
+                    // The panic unwound out of the session lock; whatever
+                    // state it left behind is untrusted. Quarantine (table
+                    // lock only — the session guard died in the unwind).
+                    self.quarantine_session(id);
+                    Err(EngineError::SessionPanicked { id, message })
+                }
+            }
         })
     }
 
@@ -1297,144 +1080,6 @@ where
         self.window.session_closed(slot.poisoned);
         let session = slot.session.lock();
         Ok(session.export_state())
-    }
-
-    /// Replays one navigation script in a fresh session over `query`,
-    /// recording per-EXPAND latency, and closes the session. Each EXPAND
-    /// goes through the full serving path (admission gate, panic
-    /// isolation, degradation ladder) — [`ScriptOutcome::degraded_expands`]
-    /// counts the ladder answers. Typed failures propagate as
-    /// [`EngineError`]; the fresh session is drained before any error
-    /// surfaces, so a failing script never leaks a parked session.
-    pub fn run_script(
-        &self,
-        query: &str,
-        script: &[ScriptOp],
-    ) -> Result<ScriptOutcome, EngineError> {
-        self.serve_request(Verb::Script, Stage::RunScript, || {
-            let id = self.open_session(query)?;
-            let finished = self.run_ops(id, query, script);
-            if finished.is_err() {
-                // Drain on failure — works even when the error quarantined
-                // the session (close still exports its pre-panic state).
-                // The close outcome is secondary to the error in flight.
-                let _ = self.close_session(id);
-            }
-            finished
-        })
-    }
-
-    /// The script interpreter behind [`Engine::run_script`], separated so
-    /// the caller can drain the session on any error path.
-    fn run_ops(
-        &self,
-        id: SessionId,
-        query: &str,
-        script: &[ScriptOp],
-    ) -> Result<ScriptOutcome, EngineError> {
-        // Resolve the slot once: script replay EXPANDs go through the
-        // tree's cross-session cut memo without re-locking the session
-        // table per operation.
-        let (session, cuts) = self.session_and_cuts(id)?;
-        let mut expand_ns = Vec::new();
-        let mut degraded_expands = 0u32;
-        let drive = |node: NavNodeId,
-                     expand_ns: &mut Vec<u64>,
-                     degraded_expands: &mut u32|
-         -> Result<(), EngineError> {
-            let _esp = trace::span(Stage::Expand);
-            let (result, ns) = self.expand_on_slot(id, &session, &cuts, node)?;
-            expand_ns.push(ns);
-            // Cut refusals are ignored, matching the seed's replay
-            // semantics (scripts may over-expand); engine errors propagate.
-            if let Ok(reply) = result {
-                if reply.degraded.is_some() {
-                    *degraded_expands += 1;
-                }
-            }
-            Ok(())
-        };
-        for op in script {
-            match op {
-                ScriptOp::Expand(node) => {
-                    drive(*node, &mut expand_ns, &mut degraded_expands)?;
-                }
-                ScriptOp::ExpandFully => loop {
-                    let next = {
-                        let s = session.lock();
-                        let found = s
-                            .nav()
-                            .iter_preorder()
-                            .find(|&n| s.active().is_visible(n) && s.component_size(n) > 1);
-                        found
-                    };
-                    let Some(node) = next else { break };
-                    drive(node, &mut expand_ns, &mut degraded_expands)?;
-                },
-                ScriptOp::ShowResults(node) => {
-                    let _ = self
-                        .with_session(id, |s| s.show_results(*node))
-                        .ok_or(EngineError::UnknownSession(id))?;
-                }
-                ScriptOp::Ignore(node) => {
-                    self.with_session(id, |s| s.ignore(*node))
-                        .ok_or(EngineError::UnknownSession(id))?;
-                }
-                ScriptOp::Backtrack => {
-                    let _ = self
-                        .with_session(id, |s| s.backtrack())
-                        .ok_or(EngineError::UnknownSession(id))?;
-                }
-            }
-        }
-        let cost = self
-            .with_session(id, |s| s.cost().clone())
-            .ok_or(EngineError::UnknownSession(id))?;
-        self.close_session(id)?;
-        Ok(ScriptOutcome {
-            query: query.to_string(),
-            cost,
-            expand_ns,
-            degraded_expands,
-        })
-    }
-
-    /// The batch driver: replays `jobs` (query, script) pairs on `workers`
-    /// pooled threads, preserving job order in the result. Sessions are
-    /// independent; trees are shared through the cache. A job whose worker
-    /// task panicked outside the engine's own isolation comes back as
-    /// [`EngineError::WorkerPanicked`] in its own slot — one bad job never
-    /// aborts the batch (DESIGN.md §5f).
-    pub fn replay(
-        &self,
-        jobs: &[(String, Vec<ScriptOp>)],
-        workers: usize,
-    ) -> Vec<Result<ScriptOutcome, EngineError>> {
-        // The Replay span lives on the calling thread; each `run_script`
-        // call opens its own capture on whichever worker thread runs it,
-        // so worker-side spans drain into the stage metrics worker-side.
-        // Likewise each worker-side script mints its own request id — this
-        // scope records the batch dispatch itself.
-        let _flight = self.flight_scope(Verb::Replay);
-        let cap = trace::capture();
-        let out = {
-            let _sp = trace::span(Stage::Replay);
-            pool::scoped_map(jobs.len(), workers, |i| {
-                let (query, script) = &jobs[i];
-                self.run_script(query, script)
-            })
-        };
-        drop(cap);
-        self.absorb_tape();
-        out.into_iter()
-            .map(|slot| match slot {
-                Ok(job_result) => job_result,
-                Err(p) => Err(EngineError::WorkerPanicked {
-                    task: p.task,
-                    message: p.message,
-                }),
-            })
-            .collect()
     }
 
     /// A raw snapshot of the telemetry window plus the cache tallies and
@@ -1526,7 +1171,7 @@ const _: () = {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bionav_medline::corpus::{self, CorpusConfig};
     use bionav_medline::InvertedIndex;
@@ -1559,6 +1204,57 @@ mod tests {
         )
     }
 
+    /// Finds a query whose navigation tree on `engine` has more than three
+    /// nodes (so EXPAND does real planning work).
+    fn fixture_query(engine: &Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>) -> String {
+        let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
+        h.iter_preorder()
+            .skip(1)
+            .map(|n| h.node(n).label().to_string())
+            .find(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
+            .expect("some label has a multi-node tree")
+    }
+
+    /// One query navigated to full expansion through the serving API.
+    pub(crate) struct Navigated {
+        pub(crate) cost: crate::sim::NavOutcome,
+        /// EXPANDs the degradation ladder answered.
+        pub(crate) degraded: u32,
+    }
+
+    /// Opens a session over `query`, EXPANDs the first visible multi-node
+    /// component in pre-order until the tree is fully expanded, and closes
+    /// the session. An error drains the session before it surfaces, so a
+    /// failed navigation never leaks a parked session.
+    pub(crate) fn expand_fully(
+        engine: &Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>,
+        query: &str,
+    ) -> Result<Navigated, EngineError> {
+        let id = engine.open_session(query)?;
+        let mut degraded = 0;
+        let driven = loop {
+            let next = engine.with_session(id, |s| {
+                s.nav()
+                    .iter_preorder()
+                    .find(|&n| s.active().is_visible(n) && s.component_size(n) > 1)
+            });
+            match next {
+                None => break Err(EngineError::UnknownSession(id)),
+                Some(None) => break Ok(()),
+                Some(Some(node)) => match engine.expand(id, node) {
+                    Ok(reply) => degraded += u32::from(reply.degraded.is_some()),
+                    Err(e) => break Err(e),
+                },
+            }
+        };
+        let closed = engine.close_session(id);
+        driven?;
+        Ok(Navigated {
+            cost: closed?.cost,
+            degraded,
+        })
+    }
+
     #[test]
     fn error_flight_codes_round_trip_to_kind_names() {
         // Drift guard: the flight recorder decodes packed error codes back
@@ -1573,10 +1269,6 @@ mod tests {
             EngineError::TreeBuildFailed("m".to_string()),
             EngineError::SessionPanicked {
                 id,
-                message: "m".to_string(),
-            },
-            EngineError::WorkerPanicked {
-                task: 0,
                 message: "m".to_string(),
             },
             EngineError::StateMismatch,
@@ -1705,14 +1397,7 @@ mod tests {
         // single-threaded session pays — navigation state is per-session,
         // the tree is immutable shared data.
         let engine = fixture_engine();
-        let query = {
-            let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-            h.iter_preorder()
-                .skip(1)
-                .map(|n| h.node(n).label().to_string())
-                .find(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
-                .expect("some label has a multi-node tree")
-        };
+        let query = fixture_query(&engine);
         let tree = engine.tree_for(&query).unwrap();
 
         let expand_fully = |tree: SharedTree| -> crate::sim::NavOutcome {
@@ -1750,32 +1435,44 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_deterministic_across_worker_counts() {
+    fn threaded_sessions_over_cached_trees_match_sequential_ones() {
+        // Three sessions per query, driven one after another and then from
+        // one thread each: the first sequential session over a tree solves
+        // fresh, every later one (threaded or not) shares the cached tree
+        // and its cut memo, and all of them must cost the same.
         let engine = fixture_engine();
         let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-        let jobs: Vec<(String, Vec<ScriptOp>)> = h
+        let queries: Vec<String> = h
             .iter_preorder()
             .skip(1)
             .map(|n| h.node(n).label().to_string())
-            .filter(|label| engine.tree_for(label).is_some())
-            .take(6)
-            .map(|label| (label, vec![ScriptOp::ExpandFully]))
+            .filter(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
+            .take(2) // the fixture's tree-cache capacity: both stay cached
             .collect();
-        assert!(jobs.len() >= 2, "fixture needs a few result-bearing labels");
+        assert_eq!(queries.len(), 2, "fixture needs two multi-node labels");
+        let jobs: Vec<&String> = (0..3).flat_map(|_| &queries).collect();
 
-        let single: Vec<_> = engine.replay(&jobs, 1);
-        let pooled: Vec<_> = engine.replay(&jobs, 4);
-        assert_eq!(single.len(), pooled.len());
-        for (a, b) in single.iter().zip(&pooled) {
+        let sequential: Vec<_> = jobs.iter().map(|q| expand_fully(&engine, q)).collect();
+        let threaded: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|q| scope.spawn(|| expand_fully(&engine, q)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(sequential.len(), threaded.len());
+        for (i, (a, b)) in sequential.iter().zip(&threaded).enumerate() {
+            let fresh = sequential[i % queries.len()].as_ref().unwrap();
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.query, b.query);
             assert_eq!(
-                a.cost, b.cost,
-                "{}: worker count changed the outcome",
-                a.query
+                a.cost, fresh.cost,
+                "{}: the cut memo changed the outcome",
+                jobs[i]
             );
-            assert_eq!(a.expand_ns.len(), b.expand_ns.len());
+            assert_eq!(a.cost, b.cost, "{}: threading changed the outcome", jobs[i]);
+            assert_eq!(a.degraded, b.degraded);
         }
+        assert!(engine.stats().cut_cache_hits > 0, "no session reused a cut");
     }
 
     #[test]
@@ -1826,14 +1523,7 @@ mod tests {
     fn cut_cache_serves_repeat_components_without_solving() {
         use crate::edgecut::counters;
         let engine = fixture_engine();
-        let query = {
-            let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-            h.iter_preorder()
-                .skip(1)
-                .map(|n| h.node(n).label().to_string())
-                .find(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
-                .expect("some label has a multi-node tree")
-        };
+        let query = fixture_query(&engine);
 
         // The first session over the tree computes the root cut fresh:
         // exactly one partitioning pipeline run.
@@ -1889,20 +1579,9 @@ mod tests {
             Err(EngineError::UnknownQuery(_))
         ));
         assert!(matches!(
-            engine.run_script("zzz-no-such-term-zzz", &[ScriptOp::ExpandFully]),
+            expand_fully(&engine, "zzz-no-such-term-zzz"),
             Err(EngineError::UnknownQuery(_))
         ));
-    }
-
-    /// Finds a result-bearing query on `engine` (fixture helper for the
-    /// fault-plane tests below).
-    fn fixture_query(engine: &Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>) -> String {
-        let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-        h.iter_preorder()
-            .skip(1)
-            .map(|n| h.node(n).label().to_string())
-            .find(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
-            .expect("some label has a multi-node tree")
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! 1. **Failpoints** — named injection sites ([`FailSite`]) threaded
 //!    through the serve path (solver entry, cut-cache probe, tree build,
-//!    the planner's citation-set fold, session-lock acquisition, pool
-//!    workers). A chaos test arms a seeded
+//!    the planner's citation-set fold, session-lock acquisition). A chaos
+//!    test arms a seeded
 //!    [`FaultPlan`]; each site then fires a [`Fault`] on a deterministic
 //!    pseudo-random schedule. **Disarmed (the production default), a
 //!    failpoint costs exactly one relaxed atomic load** — the same
@@ -17,10 +17,10 @@
 //!    the same CI overhead gate (`scripts/perf_gate.sh`).
 //! 2. **Panic isolation** — [`isolate`] is the *only* place in first-party
 //!    code where `catch_unwind` appears (enforced by clippy's
-//!    `disallowed_methods` list in `clippy.toml`). The worker pool and the engine's EXPAND path run
-//!    potentially-panicking work through it, convert escaped panics into
-//!    typed errors, and quarantine the affected session instead of
-//!    aborting the batch.
+//!    `disallowed_methods` list in `clippy.toml`). The engine's tree build
+//!    and EXPAND path run potentially-panicking work through it, convert
+//!    escaped panics into typed errors, and quarantine the affected
+//!    session instead of taking the process down.
 //!
 //! Determinism contract: whether the *n*-th evaluation of a site fires is
 //! a pure function of `(plan seed, site, n)`. Under concurrency the
@@ -42,8 +42,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A named failpoint site in the serve path.
 ///
-/// Discriminants are stable indices into the registry's per-site state;
-/// adding a site means appending — never reordering.
+/// Discriminants index the registry's per-site state and feed each site's
+/// coin, so renumbering a site changes which evaluations of a seeded plan
+/// fire (period-1 plans fire every evaluation regardless). Every site must
+/// be reachable from the open/expand/close serving path: the chaos suite
+/// arms each one in turn and requires it to fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum FailSite {
@@ -55,19 +58,17 @@ pub enum FailSite {
     TreeBuild = 2,
     /// Per-session lock acquisition inside `Engine::expand`.
     SessionLock = 3,
-    /// A worker-pool task body (`engine::pool::scoped_map`).
-    PoolWorker = 4,
     /// The citation-set fold EXPAND's planner runs over the partitions of
     /// a fresh component, in `heuristic::reduced_problem` (DESIGN.md §5g).
     /// The fold has no error channel, so any armed fault here fires as an
     /// injected panic inside the caller's [`isolate`] region. The name is
     /// kept from the lazy bitset payload the fold replaced.
-    TreeMaterialize = 5,
+    TreeMaterialize = 4,
 }
 
 impl FailSite {
     /// Number of sites (length of [`FailSite::ALL`]).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Every site, indexed by discriminant.
     pub const ALL: [FailSite; FailSite::COUNT] = [
@@ -75,7 +76,6 @@ impl FailSite {
         FailSite::CutCacheProbe,
         FailSite::TreeBuild,
         FailSite::SessionLock,
-        FailSite::PoolWorker,
         FailSite::TreeMaterialize,
     ];
 
@@ -86,7 +86,6 @@ impl FailSite {
             FailSite::CutCacheProbe => "cut_cache_probe",
             FailSite::TreeBuild => "tree_build",
             FailSite::SessionLock => "session_lock",
-            FailSite::PoolWorker => "pool_worker",
             FailSite::TreeMaterialize => "tree_materialize",
         }
     }
@@ -96,8 +95,7 @@ impl FailSite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Panic at the site (caught by [`isolate`]; the session is
-    /// quarantined / the pool task reports a typed `WorkerPanicked`
-    /// from `engine::pool`).
+    /// quarantined, or a tree build reports `TreeBuildFailed`).
     Panic,
     /// Fail the site with a typed error (e.g. a refused probe or a
     /// `SessionBusy`); the caller takes its error path.
@@ -437,7 +435,7 @@ pub fn injected_panic(site: FailSite) -> ! {
 /// the unwind boundary auditable and forces every caller through the
 /// quarantine/typed-error discipline. `AssertUnwindSafe` is sound here
 /// because callers treat the closure's state as poisoned on `Err` — the
-/// engine quarantines the session, the pool discards the task slot — so no
+/// engine quarantines the session or discards the failed build — so no
 /// broken invariant is ever observed.
 #[cfg(not(interleave))]
 pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
@@ -509,13 +507,13 @@ mod tests {
     #[test]
     fn isolate_catches_panics_and_passes_values() {
         assert_eq!(isolate(|| 41 + 1), Ok(42));
-        let err = isolate(|| -> u32 { injected_panic(FailSite::PoolWorker) })
+        let err = isolate(|| -> u32 { injected_panic(FailSite::TreeBuild) })
             .expect_err("injected panic must be caught");
         assert!(
             err.starts_with(INJECTED_PANIC_PREFIX),
             "payload carries the marker: {err}"
         );
-        assert!(err.contains("pool_worker"));
+        assert!(err.contains("tree_build"));
         // Non-&'static str payloads are stringified too.
         let err = isolate(|| -> u32 { panic!("formatted {}", 7) }).expect_err("caught");
         assert_eq!(err, "formatted 7");

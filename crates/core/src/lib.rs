@@ -63,8 +63,8 @@ pub use bitset::CitSet;
 pub use breaker::{Breaker, BreakerDecision, BreakerState};
 pub use cost::{CostParams, Planner};
 pub use engine::{
-    DegradePolicy, DegradeReason, Engine, EngineError, ExpandReply, ScriptOp, ScriptOutcome,
-    ServeStats, SessionId, SharedTree,
+    DegradePolicy, DegradeReason, Engine, EngineError, ExpandReply, ServeStats, SessionId,
+    SharedTree,
 };
 pub use fault::{FailSite, Fault, FaultPlan};
 pub use navtree::{NavNodeId, NavigationTree};

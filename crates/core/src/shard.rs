@@ -33,8 +33,7 @@
 
 use crate::breaker::{Breaker, BreakerDecision, BreakerState};
 use crate::engine::{
-    Engine, EngineError, ExpandReply, HealthCounters, ScriptOp, ScriptOutcome, ServeStats,
-    SessionId, SharedTree,
+    Engine, EngineError, ExpandReply, HealthCounters, ServeStats, SessionId, SharedTree,
 };
 use crate::navtree::NavNodeId;
 use crate::session::{Session, SessionState};
@@ -345,82 +344,6 @@ where
         self.route_id(id)?.close_session(id.local_id())
     }
 
-    /// Replays one script in a fresh session on `query`'s placement shard.
-    pub fn run_script(
-        &self,
-        query: &str,
-        script: &[ScriptOp],
-    ) -> Result<ScriptOutcome, EngineError> {
-        let shard = self.open_placement(query);
-        self.shards[shard].run_script(query, script)
-    }
-
-    /// Replays `jobs` across the tier with `workers` total worker threads:
-    /// jobs partition by their query's placement shard, the worker budget
-    /// splits as evenly as possible over the shards that drew work (every
-    /// busy shard gets ≥ 1), and each shard replays its slice on its own
-    /// engine concurrently. Results come back in `jobs` order, exactly
-    /// like [`Engine::replay`].
-    pub fn replay(
-        &self,
-        jobs: &[(String, Vec<ScriptOp>)],
-        workers: usize,
-    ) -> Vec<Result<ScriptOutcome, EngineError>> {
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (j, (query, _)) in jobs.iter().enumerate() {
-            per_shard[self.open_placement(query)].push(j);
-        }
-        let busy: Vec<usize> = (0..n).filter(|&s| !per_shard[s].is_empty()).collect();
-        if busy.is_empty() {
-            return Vec::new();
-        }
-        // Even split of the total budget over busy shards, remainder to
-        // the first ranks, floor 1 — fixed *total* parallelism, so a
-        // shard-count sweep at constant `workers` measures the tier, not
-        // extra threads.
-        let workers = workers.max(1);
-        let base = workers / busy.len();
-        let extra = workers % busy.len();
-        let mut results: Vec<Option<Result<ScriptOutcome, EngineError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "a shard replay thread can only die if Engine::replay itself panicked, which the pool's isolation contract rules out; propagate loudly rather than invent a typed error for it"
-        )]
-        let shard_outs: Vec<(usize, Vec<Result<ScriptOutcome, EngineError>>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = busy
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, &s)| {
-                        let slice: Vec<(String, Vec<ScriptOp>)> =
-                            per_shard[s].iter().map(|&j| jobs[j].clone()).collect();
-                        let w = (base + usize::from(rank < extra)).max(1);
-                        let engine = &self.shards[s];
-                        scope.spawn(move || (s, engine.replay(&slice, w)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard replay thread panicked"))
-                    .collect()
-            });
-        for (s, outs) in shard_outs {
-            for (&j, out) in per_shard[s].iter().zip(outs) {
-                results[j] = Some(out);
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the partition above assigns every job index to exactly one shard slice, so every slot is filled; a hole is a router bug worth a loud abort"
-        )]
-        results
-            .into_iter()
-            .map(|r| r.expect("every job was assigned to exactly one shard"))
-            .collect()
-    }
-
     /// One shard's fault-plane health signals (lock-free).
     pub fn shard_health(&self, shard: usize) -> HealthCounters {
         self.shards[shard].health()
@@ -489,6 +412,8 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::cost::CostParams;
+    use crate::engine::tests::expand_fully;
+    use crate::engine::DegradePolicy;
     use crate::navtree::NavigationTree;
     use bionav_medline::corpus::{self, CorpusConfig};
     use bionav_medline::InvertedIndex;
@@ -501,6 +426,17 @@ mod tests {
     /// one database see). Returns result-bearing query labels alongside.
     fn fixture(
         n_shards: usize,
+    ) -> (
+        ShardedEngine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>,
+        Vec<String>,
+    ) {
+        fixture_with_policy(n_shards, |_| DegradePolicy::default())
+    }
+
+    /// [`fixture`] with shard `i` serving under `policy(i)`.
+    fn fixture_with_policy(
+        n_shards: usize,
+        policy: impl Fn(usize) -> DegradePolicy,
     ) -> (
         ShardedEngine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>,
         Vec<String>,
@@ -532,7 +468,7 @@ mod tests {
             labels.len() >= 4,
             "fixture needs several result-bearing labels"
         );
-        let sharded = ShardedEngine::new(n_shards, |_| {
+        let sharded = ShardedEngine::new(n_shards, |i| {
             let h = Arc::clone(&h);
             let store = Arc::clone(&store);
             let index = Arc::clone(&index);
@@ -547,6 +483,7 @@ mod tests {
                 CostParams::default(),
                 4,
             )
+            .with_policy(policy(i))
         });
         (sharded, labels)
     }
@@ -704,9 +641,8 @@ mod tests {
         let (sharded, labels) = fixture(4);
         let (single, _) = fixture(1);
         for label in &labels {
-            let script = [ScriptOp::ExpandFully];
-            let a = sharded.run_script(label, &script).unwrap();
-            let b = single.run_script(label, &script).unwrap();
+            let a = expand_fully(sharded.engine(sharded.open_placement(label)), label).unwrap();
+            let b = expand_fully(single.engine(0), label).unwrap();
             assert_eq!(a.cost.expands, b.cost.expands, "{label}");
             assert_eq!(
                 a.cost.interaction_cost(),
@@ -728,7 +664,8 @@ mod tests {
         assert!(labels.len() > 4, "the tape must overflow one 4-slot shard");
         let cycle = |tier: &ShardedEngine<_>| {
             for label in &labels {
-                tier.run_script(label, &[]).unwrap();
+                let id = tier.open_session(label).unwrap();
+                tier.close_session(id).unwrap();
             }
         };
         cycle(&one);
@@ -751,20 +688,24 @@ mod tests {
     }
 
     #[test]
-    fn replay_preserves_job_order_and_drains_all_shards() {
+    fn concurrent_navigations_drain_every_shard() {
         let (sharded, labels) = fixture(4);
-        let jobs: Vec<(String, Vec<ScriptOp>)> = (0..3)
-            .flat_map(|_| {
-                labels
-                    .iter()
-                    .map(|l| (l.clone(), vec![ScriptOp::ExpandFully]))
-            })
-            .collect();
-        let outs = sharded.replay(&jobs, 4);
+        let jobs: Vec<&String> = (0..3).flat_map(|_| &labels).collect();
+        let outs: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|q| {
+                    let engine = sharded.engine(sharded.open_placement(q));
+                    scope.spawn(move || expand_fully(engine, q))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         assert_eq!(outs.len(), jobs.len());
         for (i, out) in outs.iter().enumerate() {
             let o = out.as_ref().expect("job completed");
-            assert_eq!(o.query, jobs[i].0, "results come back in job order");
+            let first = outs[i % labels.len()].as_ref().expect("job completed");
+            assert_eq!(o.cost, first.cost, "{}: repeats cost the same", jobs[i]);
         }
         let merged = sharded.stats();
         assert_eq!(merged.sessions_opened, jobs.len() as u64);
@@ -781,7 +722,7 @@ mod tests {
     fn merged_stats_aggregate_counters_and_histograms() {
         let (sharded, labels) = fixture(2);
         for label in &labels {
-            sharded.run_script(label, &[ScriptOp::ExpandFully]).unwrap();
+            expand_fully(sharded.engine(sharded.open_placement(label)), label).unwrap();
         }
         let merged = sharded.stats();
         let a = sharded.shard_stats(0);
@@ -816,9 +757,11 @@ mod tests {
     #[test]
     fn prometheus_exposition_labels_every_shard_once() {
         let (sharded, labels) = fixture(2);
-        sharded
-            .run_script(&labels[0], &[ScriptOp::ExpandFully])
-            .unwrap();
+        expand_fully(
+            sharded.engine(sharded.open_placement(&labels[0])),
+            &labels[0],
+        )
+        .unwrap();
         let prom = sharded.prometheus_text();
         for shard in 0..2 {
             assert!(
@@ -851,39 +794,9 @@ mod tests {
         let (probe, labels) = fixture(2);
         let sick = probe.shard_for_query(&labels[0]);
         drop(probe);
-        let h =
-            Arc::new(synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap());
-        let store = Arc::new(corpus::generate(
-            &h,
-            &CorpusConfig {
-                n_citations: sanitizer_scaled(400, 64),
-                ..CorpusConfig::default()
-            },
-        ));
-        let index = Arc::new(InvertedIndex::build(&store));
-        let sharded = ShardedEngine::new(2, |i| {
-            let h = Arc::clone(&h);
-            let store = Arc::clone(&store);
-            let index = Arc::clone(&index);
-            let engine = Engine::new(
-                move |query: &str| {
-                    let results = index.query(query).citations;
-                    if results.is_empty() {
-                        return None;
-                    }
-                    Some(Arc::new(NavigationTree::build(&h, &store, &results)))
-                },
-                CostParams::default(),
-                4,
-            );
-            if i == sick {
-                engine.with_policy(crate::engine::DegradePolicy {
-                    exact_node_budget: 1,
-                    ..crate::engine::DegradePolicy::default()
-                })
-            } else {
-                engine
-            }
+        let (sharded, _) = fixture_with_policy(2, move |i| DegradePolicy {
+            exact_node_budget: usize::from(i == sick),
+            ..DegradePolicy::default()
         });
         (sharded, labels, sick)
     }

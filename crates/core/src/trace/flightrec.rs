@@ -67,7 +67,7 @@ impl RequestCtx {
 
 /// The request verbs the flight recorder classifies entries by. Mirrors
 /// the wire `Request` enum (checked by the `cargo xtask analyze` coverage
-/// matrix) plus the two batch entry points that exist only in-process.
+/// matrix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Verb {
@@ -85,15 +85,11 @@ pub enum Verb {
     Prom = 5,
     /// `Request::Debug` (the flight-recorder dump itself).
     Debug = 6,
-    /// `Engine::run_script` (one scripted navigation).
-    Script = 7,
-    /// `Engine::replay` (a whole batch dispatch).
-    Replay = 8,
 }
 
 impl Verb {
     /// Number of verbs (length of [`Verb::ALL`]).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 7;
 
     /// Every verb, indexed by discriminant.
     pub const ALL: [Verb; Verb::COUNT] = [
@@ -104,8 +100,6 @@ impl Verb {
         Verb::Stats,
         Verb::Prom,
         Verb::Debug,
-        Verb::Script,
-        Verb::Replay,
     ];
 
     /// Stable snake_case name (flight records, logs).
@@ -118,8 +112,6 @@ impl Verb {
             Verb::Stats => "stats",
             Verb::Prom => "prom",
             Verb::Debug => "debug",
-            Verb::Script => "script",
-            Verb::Replay => "replay",
         }
     }
 
@@ -888,11 +880,11 @@ mod tests {
     #[test]
     fn ensure_scope_mints_distinct_ids() {
         let a = {
-            let _s = ensure_scope(Verb::Script);
+            let _s = ensure_scope(Verb::Open);
             current_request_id()
         };
         let b = {
-            let _s = ensure_scope(Verb::Script);
+            let _s = ensure_scope(Verb::Open);
             current_request_id()
         };
         assert_ne!(a, 0);

@@ -76,9 +76,10 @@ pub fn now_ns() -> u64 {
 
 /// The instrumented stages of the serve hot path.
 ///
-/// Discriminants are stable indices into [`Stage::ALL`] and the packed
-/// span-event `meta` word, so adding a stage means appending — never
-/// reordering.
+/// Discriminants index [`Stage::ALL`] and the packed span-event `meta`
+/// word. The indices are in-process only: every export (Prometheus, the
+/// Chrome trace, flight-recorder JSON) names a stage by [`Stage::name`],
+/// so stages may be removed or reordered freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Stage {
@@ -86,52 +87,46 @@ pub enum Stage {
     Expand = 0,
     /// `Engine::open_session`: query → cached/built tree → parked session.
     OpenSession = 1,
-    /// `Engine::run_script`: one scripted navigation replayed end-to-end.
-    RunScript = 2,
-    /// `Engine::replay`: a whole batch dispatched onto the worker pool.
-    Replay = 3,
     /// `partition_until_in` inside `plan_component_with`.
-    Partition = 4,
+    Partition = 2,
     /// Reduced-problem construction (component map + reduced hierarchy).
-    ReducedBuild = 5,
+    ReducedBuild = 3,
     /// The exact/myopic solver run on the reduced problem.
-    Solve = 6,
+    Solve = 4,
     /// A follow-up cut served from a retained `ReducedPlan` memo.
-    MemoCut = 7,
+    MemoCut = 5,
     /// Cross-session `CutCache` probe (hit or miss).
-    CutCacheLookup = 8,
+    CutCacheLookup = 6,
     /// `ActiveTree::expand_in`: applying a chosen cut to the active tree.
-    ApplyCut = 9,
+    ApplyCut = 7,
     /// Waiting to acquire the tree-cache or session-table lock.
-    LockWait = 10,
+    LockWait = 8,
     /// An EXPAND answered by the graceful-degradation ladder (DESIGN.md
     /// §5f) instead of the exact planner — the span covers the degraded
     /// rung (retained-memo myopic cut or static show-all-children cut).
-    Degraded = 11,
+    Degraded = 9,
     /// A client-read fold of one component's citation set from the CSR
     /// result lists (`ActiveTree::component_set`: OPEN's visualization
     /// counts, SHOWRESULTS; DESIGN.md §5g). The planner's own fold runs
     /// inside [`Stage::ReducedBuild`] and is not counted here.
-    Materialize = 12,
+    Materialize = 10,
     /// `Engine::open_session` sub-stage: the tree came from the tree
     /// cache. Recorded via [`record`] alongside the enclosing
     /// [`Stage::OpenSession`] span, so hit/cold percentiles don't blend.
-    OpenSessionHit = 13,
+    OpenSessionHit = 11,
     /// `Engine::open_session` sub-stage: cache miss, the tree skeleton was
     /// built cold. See [`Stage::OpenSessionHit`].
-    OpenSessionCold = 14,
+    OpenSessionCold = 12,
 }
 
 impl Stage {
     /// Number of stages (length of [`Stage::ALL`]).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 13;
 
     /// Every stage, indexed by discriminant.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Expand,
         Stage::OpenSession,
-        Stage::RunScript,
-        Stage::Replay,
         Stage::Partition,
         Stage::ReducedBuild,
         Stage::Solve,
@@ -150,8 +145,6 @@ impl Stage {
         match self {
             Stage::Expand => "expand",
             Stage::OpenSession => "open_session",
-            Stage::RunScript => "run_script",
-            Stage::Replay => "replay",
             Stage::Partition => "partition",
             Stage::ReducedBuild => "reduced_build",
             Stage::Solve => "solve",

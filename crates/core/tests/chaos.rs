@@ -7,7 +7,7 @@
 //! contracts the issue names:
 //!
 //! 1. **No panic escapes**: injected panics at any site become typed
-//!    [`EngineError`]s; batches drain; gauges balance.
+//!    [`EngineError`]s; sessions drain; gauges balance.
 //! 2. **Bit-identical clean path**: when no degradation fired (including
 //!    under forced cut-cache misses), per-query costs and reveals are
 //!    identical to the exact pipeline.
@@ -21,19 +21,20 @@
 
 #![cfg(not(interleave))]
 
-use std::sync::{Arc, Mutex, MutexGuard, Once};
+mod common;
+
+use std::sync::{Mutex, MutexGuard, Once};
 
 use bionav_core::fault::{self, FailSite, Fault, FaultPlan, INJECTED_PANIC_PREFIX};
 use bionav_core::session::SessionState;
 use bionav_core::trace::flightrec;
 use bionav_core::{
     BreakerState, CostParams, DegradePolicy, DegradeReason, Engine, EngineError, NavNodeId,
-    NavigationTree, RequestCtx, ScriptOp, ShardedEngine, SharedTree, Verb,
+    RequestCtx, ShardedEngine, SharedTree, Verb,
 };
-use bionav_medline::corpus::{self, CorpusConfig};
-use bionav_medline::InvertedIndex;
-use bionav_mesh::synth::{self, sanitizer_scaled, SynthConfig};
 use serde::{Deserialize, Serialize, Value};
+
+use common::{expand_fully, fixture_engine_with, multi_node_queries, on_threads};
 
 /// Serializes the whole suite: the failpoint registry is process-global, so
 /// two armed tests (or an armed test racing an unarmed engine test in this
@@ -81,58 +82,10 @@ fn quiet_injected_panics() {
     });
 }
 
-/// The shared engine fixture: a small synthetic hierarchy + corpus, trees
-/// built per keyword on demand (same recipe as the engine unit tests).
+/// The shared engine fixture (the engine unit tests' recipe), caching up
+/// to 8 trees.
 fn fixture_engine() -> Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync> {
-    let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-    let store = corpus::generate(
-        &h,
-        &CorpusConfig {
-            n_citations: sanitizer_scaled(400, 64),
-            ..CorpusConfig::default()
-        },
-    );
-    let index = InvertedIndex::build(&store);
-    Engine::new(
-        move |query: &str| {
-            let results = index.query(query).citations;
-            if results.is_empty() {
-                return None;
-            }
-            Some(Arc::new(NavigationTree::build(&h, &store, &results)))
-        },
-        CostParams::default(),
-        8,
-    )
-}
-
-/// Distinct result-bearing labels whose navigation trees have more than
-/// `min_len` nodes (so EXPAND does real planning work).
-fn multi_node_queries(
-    engine: &Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>,
-    want: usize,
-    min_len: usize,
-) -> Vec<String> {
-    let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-    let mut out: Vec<String> = Vec::new();
-    for n in h.iter_preorder().skip(1) {
-        let label = h.node(n).label().to_string();
-        if out.contains(&label) {
-            continue;
-        }
-        if engine.tree_for(&label).is_some_and(|t| t.len() > min_len) {
-            out.push(label);
-        }
-        if out.len() == want {
-            break;
-        }
-    }
-    assert!(
-        out.len() == want,
-        "fixture needs {want} multi-node queries, found {}",
-        out.len()
-    );
-    out
+    fixture_engine_with(CostParams::default(), 8)
 }
 
 // ---------------------------------------------------------------------------
@@ -184,7 +137,7 @@ fn period_one_fires_every_time_and_limits_cap_fires() {
     assert_eq!(fault::fires(FailSite::TreeBuild), 3);
     assert_eq!(fault::hits_seen(FailSite::TreeBuild), 6);
     // Sites not named in the plan stay silent.
-    assert_eq!(fault::hit(FailSite::PoolWorker), None);
+    assert_eq!(fault::hit(FailSite::SessionLock), None);
 }
 
 #[test]
@@ -213,24 +166,20 @@ fn panic_storm_fails_jobs_typed_and_drains_every_session() {
     quiet_injected_panics();
     let engine = fixture_engine();
     let queries = multi_node_queries(&engine, 3, 3);
-    let jobs: Vec<(String, Vec<ScriptOp>)> = (0..4)
-        .flat_map(|_| queries.iter().cloned())
-        .map(|q| (q, vec![ScriptOp::ExpandFully]))
-        .collect();
+    let jobs: Vec<String> = (0..4).flat_map(|_| queries.iter().cloned()).collect();
 
     // Unarmed reference pass: the ground-truth per-query costs.
-    let reference: Vec<_> = engine
-        .replay(&jobs, 1)
-        .into_iter()
-        .map(|r| r.expect("unarmed replay completes every job"))
+    let reference: Vec<_> = jobs
+        .iter()
+        .map(|q| expand_fully(&engine, q).expect("unarmed navigation completes every job"))
         .collect();
 
     // Storm pass: every third solver entry dies. The fired *set* is fixed
-    // by the seed; which job absorbs each fire races across workers.
+    // by the seed; which job absorbs each fire races across threads.
     let plan = FaultPlan::new(chaos_seed()).site(FailSite::SolverEntry, 3, Fault::Panic);
     let (outcomes, fires, hits) = {
         let _armed = fault::scoped(plan);
-        let outcomes = engine.replay(&jobs, 4);
+        let outcomes = on_threads(&jobs, |q| expand_fully(&engine, q));
         (
             outcomes,
             fault::fires(FailSite::SolverEntry),
@@ -247,7 +196,7 @@ fn panic_storm_fails_jobs_typed_and_drains_every_session() {
                 // SolverEntry panics kill, they never degrade).
                 let expected = &reference[i];
                 assert_eq!(o.cost, expected.cost, "job {i}: cost diverged");
-                assert_eq!(o.degraded_expands, 0);
+                assert_eq!(o.degraded, 0);
             }
             Err(EngineError::SessionPanicked { message, .. }) => {
                 assert!(
@@ -262,7 +211,7 @@ fn panic_storm_fails_jobs_typed_and_drains_every_session() {
 
     // Accounting: every fire killed exactly one EXPAND, which killed
     // exactly one job, which was quarantined once and then drained by
-    // run_script's error path.
+    // the navigation's error path.
     assert_eq!(panicked_jobs, fires, "typed errors must match fired faults");
     if hits >= 32 {
         assert!(
@@ -278,51 +227,6 @@ fn panic_storm_fails_jobs_typed_and_drains_every_session() {
         "every quarantined session was closed by the drain path"
     );
     assert_eq!(stats.sessions_opened, stats.sessions_closed);
-}
-
-#[test]
-fn pool_worker_death_surfaces_as_typed_worker_panicked() {
-    let _serial = chaos_lock();
-    quiet_injected_panics();
-    let engine = fixture_engine();
-    let queries = multi_node_queries(&engine, 2, 3);
-    let jobs: Vec<(String, Vec<ScriptOp>)> = queries
-        .iter()
-        .cloned()
-        .map(|q| (q, vec![ScriptOp::ExpandFully]))
-        .collect();
-
-    // Period 1: every pooled task body dies before it opens a session.
-    let outcomes = {
-        let _armed =
-            fault::scoped(FaultPlan::new(chaos_seed()).site(FailSite::PoolWorker, 1, Fault::Panic));
-        engine.replay(&jobs, 2)
-    };
-
-    assert_eq!(outcomes.len(), jobs.len(), "one slot per job, even dead");
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Err(EngineError::WorkerPanicked { task, message }) => {
-                assert_eq!(*task, i, "the typed error names its own task slot");
-                assert!(
-                    message.starts_with(INJECTED_PANIC_PREFIX),
-                    "job {i}: unexpected panic payload {message:?}"
-                );
-            }
-            other => panic!("job {i}: expected WorkerPanicked, got {other:?}"),
-        }
-    }
-
-    // The deaths happened before any session opened: nothing leaks, and
-    // the batch still recovers once disarmed.
-    let stats = engine.stats();
-    assert_eq!(stats.sessions_active, 0);
-    assert_eq!(stats.sessions_opened, stats.sessions_closed);
-    let recovered = engine.replay(&jobs, 2);
-    assert!(
-        recovered.iter().all(Result::is_ok),
-        "disarmed replay completes every job"
-    );
 }
 
 #[test]
@@ -409,21 +313,55 @@ fn tree_build_faults_surface_as_typed_errors_then_recover() {
     let _ = engine;
 }
 
+/// Every failpoint is reachable from the open/expand/close serving path:
+/// armed alone at period 1 over one cold navigation, each site fires and
+/// the request comes back typed, as a failed tree build or as a panicked,
+/// quarantined (and then drained) session. A site that no session can
+/// reach fails here.
+#[test]
+fn every_failpoint_fires_from_the_serving_path() {
+    let _serial = chaos_lock();
+    quiet_injected_panics();
+    let query = multi_node_queries(&fixture_engine(), 1, 3).remove(0);
+    for site in FailSite::ALL {
+        // A fresh engine per site, so the open builds its tree cold.
+        let engine = fixture_engine();
+        let outcome = {
+            let _armed = fault::scoped(FaultPlan::new(chaos_seed()).site(site, 1, Fault::Panic));
+            let outcome = expand_fully(&engine, &query);
+            assert!(fault::fires(site) > 0, "{}: never fired", site.name());
+            outcome
+        };
+        let stats = engine.stats();
+        match outcome {
+            Err(EngineError::TreeBuildFailed(message)) => {
+                assert!(message.contains(site.name()), "payload: {message}");
+                assert_eq!(stats.sessions_opened, 0);
+            }
+            Err(EngineError::SessionPanicked { message, .. }) => {
+                assert!(message.contains(site.name()), "payload: {message}");
+                assert_eq!(stats.session_panics, 1, "{}: one quarantine", site.name());
+            }
+            Err(other) => panic!("{}: unexpected typed error {other}", site.name()),
+            Ok(_) => panic!("{}: a period-1 panic left the request whole", site.name()),
+        }
+        assert_eq!(stats.sessions_active, 0, "{}: session leaked", site.name());
+        assert_eq!(stats.sessions_quarantined, 0);
+    }
+}
+
 #[test]
 fn materialize_panic_quarantines_then_retries_bit_identical() {
     let _serial = chaos_lock();
     quiet_injected_panics();
     let engine = fixture_engine();
     let query = multi_node_queries(&engine, 1, 3)[0].clone();
-    let job = vec![(query.clone(), vec![ScriptOp::ExpandFully])];
 
     // Unarmed reference pass on a separate engine (so the engine under
     // test still plans its first EXPAND fresh, with an empty cut cache).
-    let reference = fixture_engine().replay(&job, 1)[0]
-        .as_ref()
-        .expect("unarmed replay completes")
-        .cost
-        .clone();
+    let reference = expand_fully(&fixture_engine(), &query)
+        .expect("unarmed navigation completes")
+        .cost;
 
     // open_session runs no planner fold, so the failpoint must not fire
     // yet — the first fold is the EXPAND's reduced-problem build below.
@@ -461,9 +399,9 @@ fn materialize_panic_quarantines_then_retries_bit_identical() {
     // panicking call owned, and the tree itself is immutable, so the next
     // EXPAND folds anew and the cost is bit-identical to the
     // reference.
-    let outcome = engine.replay(&job, 1).remove(0).expect("recovery replay");
+    let outcome = expand_fully(&engine, &query).expect("recovery navigation");
     assert_eq!(outcome.cost, reference, "post-fault cost diverged");
-    assert_eq!(outcome.degraded_expands, 0);
+    assert_eq!(outcome.degraded, 0);
 }
 
 #[test]
@@ -499,15 +437,11 @@ fn forced_cut_cache_misses_recompute_bit_identical_cuts() {
     let _serial = chaos_lock();
     let engine = fixture_engine();
     let queries = multi_node_queries(&engine, 3, 3);
-    let jobs: Vec<(String, Vec<ScriptOp>)> = (0..3)
-        .flat_map(|_| queries.iter().cloned())
-        .map(|q| (q, vec![ScriptOp::ExpandFully]))
-        .collect();
+    let jobs: Vec<String> = (0..3).flat_map(|_| queries.iter().cloned()).collect();
 
-    let clean: Vec<_> = engine
-        .replay(&jobs, 2)
+    let clean: Vec<_> = on_threads(&jobs, |q| expand_fully(&engine, q))
         .into_iter()
-        .map(|r| r.expect("clean replay completes"))
+        .map(|r| r.expect("clean navigation completes"))
         .collect();
 
     // Every cut-cache probe refuses (a forced miss): each EXPAND re-solves
@@ -520,20 +454,18 @@ fn forced_cut_cache_misses_recompute_bit_identical_cuts() {
             1,
             Fault::Error,
         ));
-        engine
-            .replay(&jobs, 2)
+        on_threads(&jobs, |q| expand_fully(&engine, q))
             .into_iter()
-            .map(|r| r.expect("forced-miss replay completes"))
+            .map(|r| r.expect("forced-miss navigation completes"))
             .collect()
     };
     for (i, (a, b)) in clean.iter().zip(&faulted).enumerate() {
         assert_eq!(a.cost, b.cost, "job {i}: forced miss changed the cost");
         assert_eq!(
-            a.expand_ns.len(),
-            b.expand_ns.len(),
+            a.cost.expands, b.cost.expands,
             "job {i}: forced miss changed the EXPAND count"
         );
-        assert_eq!(b.degraded_expands, 0, "a recompute is not a degradation");
+        assert_eq!(b.degraded, 0, "a recompute is not a degradation");
     }
     assert_eq!(engine.stats().degraded_expands, 0);
 }
@@ -587,28 +519,11 @@ fn myopic_rung_serves_from_retained_plans() {
     // reuse_plans retains solver memos in the session; the myopic rung can
     // then answer a degraded EXPAND from the retained plan instead of
     // falling all the way to the static cut.
-    let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-    let store = corpus::generate(
-        &h,
-        &CorpusConfig {
-            n_citations: sanitizer_scaled(400, 64),
-            ..CorpusConfig::default()
+    let mut engine = fixture_engine_with(
+        CostParams {
+            reuse_plans: true,
+            ..CostParams::default()
         },
-    );
-    let index = InvertedIndex::build(&store);
-    let params = CostParams {
-        reuse_plans: true,
-        ..CostParams::default()
-    };
-    let mut engine = Engine::new(
-        move |query: &str| {
-            let results = index.query(query).citations;
-            if results.is_empty() {
-                return None;
-            }
-            Some(Arc::new(NavigationTree::build(&h, &store, &results)))
-        },
-        params,
         8,
     );
     let query = &multi_node_queries(&engine, 1, 5)[0];
@@ -792,6 +707,14 @@ fn fixture_sharded(n: usize) -> ShardedEngine<impl Fn(&str) -> Option<SharedTree
     ShardedEngine::new(n, |_| fixture_engine())
 }
 
+/// [`expand_fully`] on the shard the tier places `query` on.
+fn navigate_tier(
+    tier: &ShardedEngine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>,
+    query: &str,
+) -> Result<common::Navigated, EngineError> {
+    expand_fully(tier.engine(tier.open_placement(query)), query)
+}
+
 /// Fixture queries partitioned by their sticky home shard on a 2-shard
 /// ring; both sides must be populated (the ring layout is deterministic,
 /// so this is a property of the fixture, not of the run).
@@ -823,20 +746,18 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
     quiet_injected_panics();
     let reference_tier = fixture_sharded(2);
     let homes = queries_by_home_shard(&reference_tier, 4);
-    let jobs: Vec<(String, Vec<ScriptOp>)> = (0..3)
+    let jobs: Vec<String> = (0..3)
         .flat_map(|_| homes.iter().flatten().cloned())
-        .map(|q| (q, vec![ScriptOp::ExpandFully]))
         .collect();
     let home_of: Vec<usize> = jobs
         .iter()
-        .map(|(q, _)| reference_tier.shard_for_query(q))
+        .map(|q| reference_tier.shard_for_query(q))
         .collect();
 
     // Unarmed reference pass on its own tier: ground truth per job.
-    let reference: Vec<_> = reference_tier
-        .replay(&jobs, 2)
+    let reference: Vec<_> = on_threads(&jobs, |q| navigate_tier(&reference_tier, q))
         .into_iter()
-        .map(|r| r.expect("unarmed replay completes every job"))
+        .map(|r| r.expect("unarmed navigation completes every job"))
         .collect();
 
     // Storm pass: every solver entry on shard 0 dies; shard 1 is outside
@@ -847,7 +768,7 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
         .only_shard(0);
     let (outcomes, fires) = {
         let _armed = fault::scoped(plan);
-        let outcomes = storm_tier.replay(&jobs, 4);
+        let outcomes = on_threads(&jobs, |q| navigate_tier(&storm_tier, q));
         (outcomes, fault::fires(FailSite::SolverEntry))
     };
 
@@ -860,7 +781,7 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
                     "job {i} (shard {}): survived jobs must be bit-identical",
                     home_of[i]
                 );
-                assert_eq!(o.degraded_expands, 0);
+                assert_eq!(o.degraded, 0);
             }
             Err(EngineError::SessionPanicked { message, .. }) => {
                 assert_eq!(
@@ -886,7 +807,8 @@ fn shard_scoped_panic_storm_quarantines_only_shard_zero() {
     assert_eq!(h1.sessions_quarantined, 0);
     assert_eq!(h1.degraded_expands, 0);
     assert_eq!(storm_tier.shard_health(0).session_panics, fires);
-    // And the whole tier drained: replay's error path closes what it kills.
+    // And the whole tier drained: the navigation's error path closes what
+    // it kills.
     let merged = storm_tier.stats();
     assert_eq!(merged.sessions_active, 0);
     assert_eq!(merged.sessions_quarantined, 0);
@@ -972,7 +894,7 @@ fn quarantine_trips_the_breaker_diverts_opens_and_recovers() {
 /// The slow-shard drill: a shard-0-scoped Deadline storm at the solver
 /// entry degrades every shard-0 EXPAND onto the ladder, which trips
 /// *only* shard 0's breaker. While the storm is still armed, shard-1-homed
-/// jobs replay bit-identical to an unarmed reference tier and shard 1's
+/// jobs navigate bit-identical to an unarmed reference tier and shard 1's
 /// health counters never move; sticky EXPANDs into the open breaker
 /// fast-fail typed with a live retry hint without touching the shard
 /// engine; and once the storm lifts, the jittered probe schedule re-closes
@@ -985,16 +907,12 @@ fn slow_shard_storm_trips_only_its_own_breaker_and_recovers() {
     let on_zero = homes[0][0].clone();
 
     // Ground truth for the healthy shard: an unarmed reference tier
-    // replays the shard-1-homed job tape.
-    let well_jobs: Vec<(String, Vec<ScriptOp>)> = homes[1]
-        .iter()
-        .cloned()
-        .map(|q| (q, vec![ScriptOp::ExpandFully]))
-        .collect();
-    let reference: Vec<_> = fixture_sharded(2)
-        .replay(&well_jobs, 2)
+    // navigates the shard-1-homed job tape.
+    let well_jobs = &homes[1];
+    let reference_tier = fixture_sharded(2);
+    let reference: Vec<_> = on_threads(well_jobs, |q| navigate_tier(&reference_tier, q))
         .into_iter()
-        .map(|r| r.expect("unarmed replay completes every job"))
+        .map(|r| r.expect("unarmed navigation completes every job"))
         .collect();
 
     let parked = sharded.open_session(&on_zero).unwrap();
@@ -1021,7 +939,7 @@ fn slow_shard_storm_trips_only_its_own_breaker_and_recovers() {
 
     // Sticky EXPANDs into the open breaker fast-fail typed with a live
     // retry hint — and never reach the shard engine. (Checked right after
-    // the trip, well inside the 200 ms open period; the slower replay
+    // the trip, well inside the 200 ms open period; the slower navigation
     // drill below would otherwise outlast the probe delay.)
     let before = sharded.shard_stats(0).expand_count;
     match sharded.expand(parked, NavNodeId::ROOT) {
@@ -1040,14 +958,13 @@ fn slow_shard_storm_trips_only_its_own_breaker_and_recovers() {
     // Blast radius: with the storm still armed, the well shard serves the
     // whole tape bit-identical to the unarmed reference, and its health
     // counters never move.
-    let stormy: Vec<_> = sharded
-        .replay(&well_jobs, 2)
+    let stormy: Vec<_> = on_threads(well_jobs, |q| navigate_tier(&sharded, q))
         .into_iter()
-        .map(|r| r.expect("well-shard replay completes under the storm"))
+        .map(|r| r.expect("well-shard navigation completes under the storm"))
         .collect();
     for (i, (a, b)) in reference.iter().zip(&stormy).enumerate() {
         assert_eq!(a.cost, b.cost, "well job {i}: cost diverged");
-        assert_eq!(b.degraded_expands, 0, "well job {i}: degraded");
+        assert_eq!(b.degraded, 0, "well job {i}: degraded");
     }
     assert_eq!(
         sharded.shard_health(1).degraded_expands,

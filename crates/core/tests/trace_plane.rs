@@ -1,6 +1,7 @@
 //! Integration tests for the observability plane (DESIGN.md §5e):
 //!
 //! * per-stage breakdown counts consistent with [`edgecut::counters`],
+//!   and one traced fixture emitting every [`Stage`],
 //! * `serve-reset` atomically clears stage histograms, counters, AND the
 //!   trace ring (the stale-sample regression the issue requires),
 //! * `ServeStats::to_json` round-trips,
@@ -17,17 +18,18 @@
 
 #![cfg(not(interleave))]
 
-use std::sync::Arc;
+mod common;
 
 use bionav_core::edgecut::counters;
 use bionav_core::slo::{self, SloVerb};
 use bionav_core::telemetry::{HistogramSnapshot, LatencyHistogram, Snapshot, Tally};
 use bionav_core::trace::export::prometheus_text;
 use bionav_core::trace::{self, Stage};
-use bionav_core::{CostParams, Engine, NavNodeId, NavigationTree, ServeStats, SharedTree};
-use bionav_medline::corpus::{self, CorpusConfig};
-use bionav_medline::InvertedIndex;
-use bionav_mesh::synth::{self, sanitizer_scaled, SynthConfig};
+use bionav_core::{
+    CostParams, DegradePolicy, Engine, NavNodeId, ServeStats, ShardedEngine, SharedTree,
+};
+
+use common::{expand_fully, fixture_engine_with, multi_node_queries, on_threads};
 
 /// Serializes tests that mutate process-global trace state (the ring and
 /// the enable toggle) — `Engine::reset_stats` clears the global ring, so
@@ -40,40 +42,16 @@ fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The engine-fixture recipe shared with `engine.rs`'s unit tests: a small
-/// synthetic hierarchy + corpus, trees built per keyword on demand.
+/// The engine-fixture recipe shared with `engine.rs`'s unit tests, caching
+/// up to 4 trees.
 fn fixture_engine() -> Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync> {
-    let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-    let store = corpus::generate(
-        &h,
-        &CorpusConfig {
-            n_citations: sanitizer_scaled(400, 64),
-            ..CorpusConfig::default()
-        },
-    );
-    let index = InvertedIndex::build(&store);
-    Engine::new(
-        move |query: &str| {
-            let results = index.query(query).citations;
-            if results.is_empty() {
-                return None;
-            }
-            Some(Arc::new(NavigationTree::build(&h, &store, &results)))
-        },
-        CostParams::default(),
-        4,
-    )
+    fixture_engine_with(CostParams::default(), 4)
 }
 
-/// A query whose navigation tree has more than one node (so EXPAND does
-/// real planning work).
+/// A query whose navigation tree has more than three nodes (so EXPAND
+/// does real planning work).
 fn multi_node_query(engine: &Engine<impl Fn(&str) -> Option<SharedTree> + Send + Sync>) -> String {
-    let h = synth::generate(&SynthConfig::small(5, sanitizer_scaled(300, 48))).unwrap();
-    h.iter_preorder()
-        .skip(1)
-        .map(|n| h.node(n).label().to_string())
-        .find(|label| engine.tree_for(label).is_some_and(|t| t.len() > 3))
-        .expect("some label has a multi-node tree")
+    multi_node_queries(engine, 1, 3).remove(0)
 }
 
 fn stage_count(stats: &ServeStats, stage: Stage) -> u64 {
@@ -178,21 +156,21 @@ fn assert_open_split_tiles(stats: &ServeStats) {
 }
 
 #[test]
-fn run_script_and_replay_feed_the_stage_family() {
+fn threaded_navigations_feed_the_stage_family() {
     let _g = trace_lock();
     // Probe on a throwaway engine so the served engines start cold.
     let query = multi_node_query(&fixture_engine());
-    let jobs = vec![
-        (query.clone(), vec![bionav_core::ScriptOp::ExpandFully]),
-        (query.clone(), vec![bionav_core::ScriptOp::ExpandFully]),
-        (query.clone(), vec![bionav_core::ScriptOp::ExpandFully]),
-    ];
+    let jobs = vec![query; 3];
+    let navigated = |out: Vec<Result<common::Navigated, _>>| {
+        out.iter().all(|o| {
+            o.as_ref()
+                .is_ok_and(|n| n.cost.expands > 0 && n.degraded == 0)
+        })
+    };
     let engine = fixture_engine();
-    let out = engine.replay(&jobs, 2);
-    assert!(out.iter().all(|o| o.is_ok()));
+    assert!(navigated(on_threads(&jobs, |q| expand_fully(&engine, q))));
     let stats = engine.stats();
-    assert_eq!(stage_count(&stats, Stage::Replay), 1);
-    assert_eq!(stage_count(&stats, Stage::RunScript), 3);
+    assert_eq!(stage_count(&stats, Stage::OpenSession), 3);
     assert!(stage_count(&stats, Stage::Expand) >= 3);
     assert_eq!(
         stage_count(&stats, Stage::Expand) as usize,
@@ -202,12 +180,83 @@ fn run_script_and_replay_feed_the_stage_family() {
     assert_open_split_tiles(&stats);
 
     // The same tiling holds on a two-shard tier's merged stats.
-    let sharded = bionav_core::ShardedEngine::new(2, |_| fixture_engine());
-    let out = sharded.replay(&jobs, 2);
-    assert!(out.iter().all(|o| o.is_ok()));
+    let sharded = ShardedEngine::new(2, |_| fixture_engine());
+    assert!(navigated(on_threads(&jobs, |q| {
+        expand_fully(sharded.engine(sharded.open_placement(q)), q)
+    })));
     let merged = sharded.stats();
-    assert_eq!(stage_count(&merged, Stage::RunScript), 3);
+    assert_eq!(stage_count(&merged, Stage::OpenSession), 3);
     assert_open_split_tiles(&merged);
+}
+
+/// One traced fixture reaches every [`Stage`]: opens (cold and hit), exact
+/// EXPANDs (one answered by the cross-session cut cache), a degraded
+/// EXPAND served from a retained plan, and SHOWRESULTS. A stage is
+/// recorded if the engines' stage metrics counted it or the ring holds its
+/// span; the open hit/cold split is tape-only, SHOWRESULTS runs outside
+/// an engine request and reaches only the ring.
+#[test]
+fn one_traced_fixture_emits_every_stage() {
+    let _g = trace_lock();
+    trace::set_enabled(true);
+    trace::set_sample_every(1);
+    trace::clear_ring();
+
+    // Cross-session cut cache: a cold open, a hit open, and the second
+    // root EXPAND served from the first one's cut.
+    let exact = fixture_engine();
+    let query = multi_node_query(&fixture_engine());
+    let a = exact.open_session(&query).unwrap();
+    let b = exact.open_session(&query).unwrap();
+    exact.expand(a, NavNodeId::ROOT).unwrap();
+    exact.expand(b, NavNodeId::ROOT).unwrap();
+    exact
+        .with_session(a, |s| s.show_results(NavNodeId::ROOT))
+        .unwrap()
+        .unwrap();
+
+    // Retained plans (reuse_plans bypasses the cut cache): the exact root
+    // EXPAND retains its children's plans, then a budget-1 policy forces
+    // the next EXPAND onto the ladder, whose myopic rung cuts from memo.
+    let mut reusing = fixture_engine_with(
+        CostParams {
+            reuse_plans: true,
+            ..CostParams::default()
+        },
+        4,
+    );
+    let c = reusing.open_session(&query).unwrap();
+    reusing.expand(c, NavNodeId::ROOT).unwrap();
+    reusing.set_policy(DegradePolicy {
+        exact_node_budget: 1,
+        ..DegradePolicy::default()
+    });
+    let node = reusing
+        .with_session(c, |s| {
+            s.nav()
+                .iter_preorder()
+                .find(|&n| s.active().is_visible(n) && s.component_size(n) > 1)
+        })
+        .unwrap()
+        .expect("the root EXPAND reveals a multi-node component");
+    assert!(reusing.expand(c, node).unwrap().degraded.is_some());
+    trace::set_enabled(false);
+
+    let mut recorded: Vec<String> = trace::ring_snapshot()
+        .iter()
+        .filter_map(|e| Stage::from_index(e.stage))
+        .map(|s| s.name().to_string())
+        .collect();
+    for stats in [exact.stats(), reusing.stats()] {
+        let counted = stats.stages.into_iter().filter(|s| s.count > 0);
+        recorded.extend(counted.map(|s| s.stage));
+    }
+    let missing: Vec<&str> = Stage::ALL
+        .iter()
+        .map(|s| s.name())
+        .filter(|name| !recorded.iter().any(|r| r == name))
+        .collect();
+    assert!(missing.is_empty(), "stages never recorded: {missing:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -757,7 +806,7 @@ fn golden_ring_exports() -> String {
     flights.push(&summary);
     flights.push(&RawSummary {
         rid: u64::MAX,
-        verb: Verb::Replay as u8,
+        verb: Verb::Debug as u8,
         shard_p1: u16::MAX,
         cache: 0,
         rung: RUNG_MYOPIC,

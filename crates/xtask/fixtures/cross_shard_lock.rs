@@ -18,6 +18,6 @@ fn scope_closed_before_entry(tier: &Tier) {
 fn annotated_fan_in(tier: &Tier) {
     // lint: allow(no-cross-shard-lock) — result-slot lock, owned by this call, not a shard lock
     let slot = results.lock();
-    tier.shards[0].replay(&jobs, 1);
+    tier.shards[0].expand(id, node);
     drop(slot);
 }

@@ -264,8 +264,6 @@ const ENGINE_ENTRY_PATTERNS: &[&str] = &[
     ".expand(",
     ".with_session(",
     ".close_session(",
-    ".run_script(",
-    ".replay(",
     ".stats(",
 ];
 

@@ -46,8 +46,8 @@ miri)
     BIONAV_SANITIZER_SCALE="$scale" MIRIFLAGS='-Zmiri-disable-isolation' \
         cargo +nightly miri test -p bionav-proto --lib
     echo "== miri: ShardSessionId packing boundaries (scale $scale) =="
-    # Bit-level id tests only — the full shard fixtures spawn per-shard
-    # worker pools, which belong to TSan below at native speed.
+    # Bit-level id tests only — the full shard fixtures drive sessions
+    # from scoped threads, which belong to TSan below at native speed.
     BIONAV_SANITIZER_SCALE="$scale" MIRIFLAGS='-Zmiri-disable-isolation' \
         cargo +nightly miri test -p bionav-core --lib -- \
         shard::tests::session_id
@@ -59,8 +59,8 @@ tsan)
         || skip "rust-src not installed; rustup +nightly component add rust-src"
     host="$(rustc +nightly -vV | sed -n 's/^host: //p')"
     echo "== tsan: engine + session + shard tier concurrency tests (scale $scale, $host) =="
-    # shard:: exercises the sharded tier (per-shard engines, worker pools,
-    # cross-shard routing) under race instrumentation; its corpus fixtures
+    # shard:: exercises the sharded tier (per-shard engines, sessions on
+    # scoped threads, cross-shard routing) under race instrumentation; its corpus fixtures
     # shrink through the same scale env var.
     BIONAV_SANITIZER_SCALE="$scale" \
         RUSTFLAGS='-Zsanitizer=thread' \
